@@ -19,8 +19,15 @@ echo "== workspace builds warning-free"
 RUSTFLAGS="-D warnings" cargo build $CARGO_FLAGS --workspace
 
 echo "== tier-1: build + tests"
+# The root Cargo.toml's default-members cover every crate, so these two
+# commands build and test the whole workspace.
 cargo build $CARGO_FLAGS --release
 cargo test $CARGO_FLAGS -q
+
+echo "== servebench self-test (the benchmark builds and its reply checks pass)"
+# servebench is its own package outside the workspace; an API change that
+# breaks its build or its byte-for-byte reply checks fails here.
+cargo test $CARGO_FLAGS --release --manifest-path servebench/Cargo.toml
 
 echo "== gpp lint (committed skeletons, deny warnings)"
 cargo build $CARGO_FLAGS --release -p gpp-cli

@@ -361,8 +361,10 @@ impl SplitMix64 {
     }
 }
 
-/// FNV-1a, used to derive an independent RNG stream per point name.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a. Here it derives an independent RNG stream per point
+/// name; the serving crates reuse it for content hashes, routing keys and
+/// jitter seeds, so its values are part of every pinned fault stream.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
         h ^= *b as u64;
@@ -588,6 +590,15 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_published_test_vectors() {
+        // Pinned fault streams, routing keys and jitter seeds all hash
+        // through this function, so its values must never drift.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn empty_plan_never_fires_and_is_inactive() {

@@ -12,10 +12,16 @@
 //!   projections collapse into one upstream call; followers get a copy of
 //!   the leader's reply (projections are pure functions of the payload,
 //!   so the bytes are exactly what each would have received);
-//! * **batch fan-out** — a `batch` frame is unpacked, each sub-request
-//!   routed independently, and the sub-replies reassembled verbatim with
-//!   [`gpp_serve::protocol::batch_response`] — bit-for-bit what a single
-//!   shard would have produced;
+//! * **batch fan-out** — a `batch` frame is unpacked and its forwarded
+//!   sub-requests grouped by the shard each would route to; every group
+//!   goes upstream as one `batch` frame (all groups in flight at once),
+//!   so a frame pays one connect per shard rather than one per
+//!   sub-request. The sub-replies are split back out and reassembled in
+//!   frame order with [`gpp_serve::protocol::batch_response`] —
+//!   bit-for-bit the single-shot sequence, `cached` flags included.
+//!   Sub-requests with a deadline, and groups whose forward fails, take
+//!   the per-request path below. Batch sub-requests are not coalesced
+//!   across frames; the shard memo absorbs repeats;
 //! * **health-checked fail-over** ([`pool`]) — each shard carries a
 //!   circuit breaker (closed / open / half-open): forward errors trip it
 //!   open, the background prober runs the half-open trial, requests
@@ -46,11 +52,12 @@ pub mod pool;
 pub mod ring;
 
 use flight::{Joined, SingleFlight};
+use gpp_fault::fnv1a;
 use gpp_fault::FaultInjector;
-use gpp_serve::cache::fnv1a;
 use gpp_serve::client::RetryBudget;
 use gpp_serve::protocol::{
-    batch_response, read_frame_limited, write_frame, Command, FrameError, ProtocolError, Request,
+    batch_response, read_frame_limited, split_batch_response, write_frame, Command, FrameError,
+    ProtocolError, Request,
 };
 use gpp_serve::service::{busy_response, deadline_exceeded, error_json};
 use gpp_serve::DeadlineRead;
@@ -124,7 +131,7 @@ pub struct GatewayMetrics {
     pub served_ok: AtomicU64,
     /// Requests answered with `"ok":false`.
     pub served_err: AtomicU64,
-    /// Requests forwarded upstream.
+    /// Frames forwarded upstream (a batch group counts once).
     pub routed_total: AtomicU64,
     /// Requests answered from another caller's in-flight reply.
     pub coalesced: AtomicU64,
@@ -193,20 +200,13 @@ impl GatewayState {
     /// loop stamps arrival when the frame finishes reading.
     pub fn handle_at(&self, payload: &str, arrival: Instant) -> String {
         let reply = match Request::decode(payload) {
-            // Same mapping as the shard's own handler, so a malformed
-            // frame gets byte-identical bytes from gateway and shard.
-            Err(e) => error_json(&ProtocolError::new("parse", e.to_string())).render(),
-            Ok(req) => match req.command {
-                Command::Ping => Json::obj([
-                    ("ok", Json::Bool(true)),
-                    ("command", Json::Str("ping".into())),
-                ])
-                .render(),
-                Command::Health => self.health_json().render(),
-                Command::Stats => self.stats_json().render(),
-                Command::Batch => self.handle_batch(&req, arrival),
-                _ => self.route_one(payload, &req, arrival),
-            },
+            Err(e) => parse_error(e),
+            Ok(req) => self
+                .local_reply(req.command)
+                .unwrap_or_else(|| match req.command {
+                    Command::Batch => self.handle_batch(&req, arrival),
+                    _ => self.route_one(payload, &req, arrival),
+                }),
         };
         if reply.starts_with("{\"ok\":false") {
             GatewayMetrics::bump(&self.metrics.served_err);
@@ -216,35 +216,132 @@ impl GatewayState {
         reply
     }
 
-    /// Unpacks a batch, routes every sub-request independently (each to
-    /// its own ring position), and reassembles the sub-replies verbatim.
+    /// The reply to a command the gateway answers itself, or `None` for
+    /// one it forwards. Stats and health describe the process that
+    /// answers them (load-dependent by nature), so the gateway answers
+    /// with its own view, inside batches too.
+    fn local_reply(&self, command: Command) -> Option<String> {
+        match command {
+            Command::Ping => Some(
+                Json::obj([
+                    ("ok", Json::Bool(true)),
+                    ("command", Json::Str("ping".into())),
+                ])
+                .render(),
+            ),
+            Command::Health => Some(self.health_json().render()),
+            Command::Stats => Some(self.stats_json().render()),
+            _ => None,
+        }
+    }
+
+    /// Unpacks a batch and answers it with one upstream frame per shard.
+    ///
+    /// Local sub-requests (ping, health, stats, parse errors) are answered
+    /// in place. Every deadline-free forwarded sub-request joins the group
+    /// of the shard [`GatewayState::route_one`] would try first: the first
+    /// healthy shard in its key's ring order. Each group travels to its
+    /// shard as one `batch` frame, all groups in flight at once. The shard
+    /// runs a group in index order, so its memo sees the same sequence as
+    /// single-shot requests would produce, `cached` flags included.
+    ///
+    /// Sub-requests carrying `deadline_ms`, and the members of any group
+    /// whose forward fails or whose reply is not a batch of the right
+    /// size (`busy`, `shed`, `too_large`), then take the per-sub path in
+    /// index order: single-flight, hedging and fail-over. Grouped
+    /// sub-requests are not coalesced with other frames; the shard memo
+    /// absorbs repeats.
     fn handle_batch(&self, req: &Request, arrival: Instant) -> String {
         GatewayMetrics::bump(&self.metrics.batch_frames);
-        let replies: Vec<String> = req
-            .batch
-            .iter()
-            .map(|sub| {
-                GatewayMetrics::bump(&self.metrics.batch_subs);
-                match Request::decode(sub) {
-                    Err(e) => error_json(&ProtocolError::new("parse", e.to_string())).render(),
-                    Ok(sub_req) => match sub_req.command {
-                        Command::Ping => Json::obj([
-                            ("ok", Json::Bool(true)),
-                            ("command", Json::Str("ping".into())),
-                        ])
-                        .render(),
-                        // Embedded stats/health describe the process that
-                        // answers them (load-dependent by nature), so the
-                        // gateway answers with its own view.
-                        Command::Health => self.health_json().render(),
-                        Command::Stats => self.stats_json().render(),
-                        Command::Batch => unreachable!("decoder rejects nested batches"),
-                        _ => self.route_one(sub, &sub_req, arrival),
-                    },
+        let n = req.batch.len();
+        self.metrics
+            .batch_subs
+            .fetch_add(n as u64, Ordering::Relaxed);
+        let mut replies: Vec<Option<String>> = vec![None; n];
+        let mut forwarded: Vec<Option<Request>> = vec![None; n];
+        let mut groups: Vec<(Arc<Shard>, Vec<usize>)> = Vec::new();
+        for (i, sub) in req.batch.iter().enumerate() {
+            let sub_req = match Request::decode(sub) {
+                Err(e) => {
+                    replies[i] = Some(parse_error(e));
+                    continue;
                 }
+                Ok(sub_req) => sub_req,
+            };
+            if let Some(reply) = self.local_reply(sub_req.command) {
+                replies[i] = Some(reply);
+                continue;
+            }
+            if sub_req.deadline_ms.is_none() {
+                let key = routing_key(&sub_req.machine, structural_fingerprint(&sub_req, sub));
+                if let Some(shard) = self.pool.route(key).into_iter().find(|s| s.is_healthy()) {
+                    match groups.iter_mut().find(|(s, _)| Arc::ptr_eq(s, &shard)) {
+                        Some((_, members)) => members.push(i),
+                        None => groups.push((shard, vec![i])),
+                    }
+                }
+            }
+            forwarded[i] = Some(sub_req);
+        }
+
+        let answered: Vec<Option<Vec<String>>> = std::thread::scope(|scope| {
+            let flights: Vec<_> = groups
+                .iter()
+                .map(|(shard, members)| scope.spawn(|| self.forward_group(shard, members, req)))
+                .collect();
+            flights
+                .into_iter()
+                .map(|f| f.join().expect("group forward panicked"))
+                .collect()
+        });
+        for ((_, members), parts) in groups.iter().zip(answered) {
+            for (&i, part) in members.iter().zip(parts.into_iter().flatten()) {
+                replies[i] = Some(part);
+            }
+        }
+
+        let replies: Vec<String> = replies
+            .into_iter()
+            .enumerate()
+            .map(|(i, reply)| {
+                reply.unwrap_or_else(|| {
+                    let sub_req = forwarded[i].as_ref().expect("unanswered subs decoded");
+                    self.route_one(&req.batch[i], sub_req, arrival)
+                })
             })
             .collect();
         batch_response(&replies)
+    }
+
+    /// Sends one shard's group of batch members as a single `batch` frame
+    /// and returns their sub-replies in member order, or `None` when the
+    /// forward failed or the reply is not a batch of `members.len()`
+    /// sub-replies. A failed forward trips the shard's breaker, as a
+    /// failed single forward does. Batch round-trips stay out of the
+    /// latency window: its p99 is the hedging trigger for single
+    /// forwards.
+    fn forward_group(
+        &self,
+        shard: &Shard,
+        members: &[usize],
+        req: &Request,
+    ) -> Option<Vec<String>> {
+        GatewayMetrics::bump(&self.metrics.routed_total);
+        let frame = Request::new_batch(members.iter().map(|&i| req.batch[i].clone())).encode();
+        match shard.forward(&frame, self.config.request_timeout, &self.config.faults) {
+            Ok(reply) => {
+                shard.mark_healthy(self.config.probe_interval);
+                shard.routed.fetch_add(1, Ordering::Relaxed);
+                let parts = split_batch_response(&reply)?;
+                (parts.len() == members.len())
+                    .then(|| parts.into_iter().map(str::to_string).collect())
+            }
+            Err(_) => {
+                shard.forward_errors.fetch_add(1, Ordering::Relaxed);
+                shard.mark_failed(self.config.probe_backoff);
+                None
+            }
+        }
     }
 
     /// Routes one skeleton-bearing (or calibrate) request: decrements the
@@ -592,6 +689,13 @@ impl GatewayState {
     pub fn note_busy(&self) {
         GatewayMetrics::bump(&self.metrics.rejected_busy);
     }
+}
+
+/// The reply to an undecodable payload. Same mapping as the shard's own
+/// handler, so a malformed frame gets byte-identical bytes from gateway
+/// and shard.
+fn parse_error(e: ProtocolError) -> String {
+    error_json(&ProtocolError::new("parse", e.to_string())).render()
 }
 
 /// The routing fingerprint for a request: the program's structural

@@ -85,7 +85,8 @@ pub struct Shard {
     next_probe: Mutex<Instant>,
     latencies_us: Mutex<Vec<u64>>,
     latency_pos: AtomicU64,
-    /// Requests this shard answered through the gateway.
+    /// Frames this shard answered through the gateway (a batch group
+    /// counts once).
     pub routed: AtomicU64,
     /// Forward attempts that failed (tripping the breaker open).
     pub forward_errors: AtomicU64,

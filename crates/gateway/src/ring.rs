@@ -7,7 +7,7 @@
 //! its points — every other (machine, fingerprint) keeps hitting the
 //! shard whose projection memo is already warm for it.
 
-use gpp_serve::cache::fnv1a;
+use gpp_fault::fnv1a;
 
 /// Virtual nodes per shard. 64 keeps the worst/best shard load ratio
 /// close to 1 at the pool sizes a gateway fronts (a handful of shards).

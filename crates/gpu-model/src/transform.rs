@@ -249,8 +249,11 @@ pub fn synthesize_transformed(
 }
 
 /// Entries the synthesis memo holds before it is wiped (a safety valve
-/// for unbounded what-if streams, not a tuning knob — entries are tiny).
-const MEMO_CAP: usize = 8192;
+/// for unbounded what-if streams). A stream of never-seen programs
+/// refills the memo to this cap between wipes, so the cap is what bounds
+/// its resident memory; a hot program re-enters after a wipe on its next
+/// search.
+const MEMO_CAP: usize = 1024;
 
 type MemoKey = (u128, Transformation);
 type Memo = Mutex<HashMap<MemoKey, Arc<SynthesizedKernel>, BuildFnv>>;

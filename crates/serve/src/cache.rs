@@ -19,14 +19,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// FNV-1a content hash used for skeleton texts and hint fingerprints.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use gpp_fault::fnv1a;
 
 /// Key identifying one calibrated machine instance.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

@@ -1,6 +1,7 @@
 //! A small blocking client for the `gpp-serve` wire protocol.
 
 use crate::protocol::{read_frame, write_frame, ProtocolError, Request};
+use gpp_fault::fnv1a;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,16 +68,6 @@ fn splitmix64(seed: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// FNV-1a over the request payload, for deriving a per-call jitter seed.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Derives a stable jitter seed from an identity (a shard label, a machine

@@ -33,7 +33,8 @@
 //! ```
 //!
 //! so `batch(xs)` is bit-for-bit the concatenation of the single-shot
-//! replies for `xs`. Batches do not nest.
+//! replies for `xs` sent in order. Batches do not nest.
+//! [`split_batch_response`] takes a batch reply apart again.
 
 use std::io::{self, Read, Write};
 
@@ -427,6 +428,51 @@ pub fn batch_response(replies: &[String]) -> String {
     }
     out.push_str("]}");
     out
+}
+
+/// The inverse of [`batch_response`]: the sub-replies of a rendered batch
+/// reply, each exactly as it was spliced in. Returns `None` when `reply`
+/// is not a batch reply (a frame-level error such as `busy`), is
+/// malformed, or its `count` disagrees with the number of elements. The
+/// scanner tracks JSON strings and escapes, so sub-replies may contain
+/// any of `,[]{}"` inside their strings.
+pub fn split_batch_response(reply: &str) -> Option<Vec<&str>> {
+    let rest = reply.strip_prefix("{\"ok\":true,\"command\":\"batch\",\"count\":")?;
+    let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+    let count: usize = rest[..digits].parse().ok()?;
+    let body = rest[digits..]
+        .strip_prefix(",\"replies\":[")?
+        .strip_suffix("]}")?;
+    let mut parts = Vec::with_capacity(count);
+    let (mut depth, mut in_string, mut escaped, mut start) = (0usize, false, false, 0usize);
+    for (i, b) in body.bytes().enumerate() {
+        if in_string {
+            match b {
+                _ if escaped => escaped = false,
+                b'\\' => escaped = true,
+                b'"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match b {
+            b'"' => in_string = true,
+            b'{' | b'[' => depth += 1,
+            b'}' | b']' => depth = depth.checked_sub(1)?,
+            b',' if depth == 0 => {
+                parts.push(&body[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    if in_string || depth != 0 {
+        return None;
+    }
+    if !body.is_empty() {
+        parts.push(&body[start..]);
+    }
+    (parts.len() == count).then_some(parts)
 }
 
 /// One static-analyzer finding on the wire: carried on a `lint`

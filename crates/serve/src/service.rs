@@ -236,15 +236,19 @@ impl ServiceState {
     }
 
     /// Executes each embedded sub-request through the ordinary
-    /// [`ServiceState::handle`] path, so every sub-reply (and every
-    /// counter bump) is bit-identical to what the same request would have
-    /// produced single-shot. Sub-requests run on the `gpp-par` pool
-    /// (`ServiceState` is `Sync`; replies are placed by index), so one
-    /// big batch frame saturates the machine and still hits the SoA
-    /// projection path per sub-request.
+    /// [`ServiceState::handle`] path, one after another in frame order, so
+    /// a batch repeats the single-shot sequence exactly: the same memo
+    /// hits and misses, `cached` flags, LRU order and counters. Two
+    /// identical sub-requests therefore always miss then hit, in index
+    /// order. Parallelism comes from the worker pool (other connections)
+    /// and, behind a gateway, from its per-shard fan-out; each
+    /// sub-request's projection still runs its own parallel search.
     fn cmd_batch(&self, req: &Request, queue_depth: usize) -> Result<Json, ProtocolError> {
-        let replies: Vec<String> =
-            gpp_par::par_map(req.batch.len(), |i| self.handle(&req.batch[i], queue_depth));
+        let replies: Vec<String> = req
+            .batch
+            .iter()
+            .map(|sub| self.handle(sub, queue_depth))
+            .collect();
         Ok(Json::Raw(crate::protocol::batch_response(&replies)))
     }
 

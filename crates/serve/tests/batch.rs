@@ -2,9 +2,10 @@
 //! the concatenation of the single-shot replies for the same requests —
 //! the property the gateway's fan-out relies on.
 
-use gpp_serve::protocol::Request;
+use gpp_serve::protocol::{batch_response, split_batch_response, Request};
 use gpp_serve::Command;
 use gpp_serve::{ServeConfig, ServiceState};
+use grophecy::report::Json;
 use proptest::prelude::*;
 
 const VEC_ADD: &str = include_str!("../../../skeletons/vector_add.gsk");
@@ -85,8 +86,71 @@ fn successful_project_replies_carry_the_fingerprint() {
     );
 }
 
+/// Characters a sub-reply's strings may carry that a naive splitter on
+/// `,` or brackets would trip over.
+const TRICKY: [char; 10] = [',', '[', ']', '{', '}', '"', '\\', ':', 'a', '\n'];
+
+/// A rendered sub-reply whose string field holds `picks` from
+/// [`TRICKY`], wrapped `nest` levels deep in arrays and objects.
+fn tricky_reply(picks: &[usize], nest: usize) -> String {
+    let text: String = picks.iter().map(|&i| TRICKY[i]).collect();
+    let mut value = Json::Str(text.clone());
+    for _ in 0..nest {
+        value = Json::Arr(vec![value, Json::obj([("s", Json::Str(text.clone()))])]);
+    }
+    Json::obj([("ok", Json::Bool(false)), ("message", value)]).render()
+}
+
+#[test]
+fn split_batch_response_rejects_non_batch_replies() {
+    let busy = r#"{"ok":false,"error":{"kind":"busy","message":"full"}}"#;
+    assert_eq!(split_batch_response(busy), None);
+    let one = r#"{"ok":true,"command":"batch","count":2,"replies":[{"ok":true}]}"#;
+    assert_eq!(split_batch_response(one), None, "count disagrees");
+    let open = r#"{"ok":true,"command":"batch","count":1,"replies":[{"a":"]}"#;
+    assert_eq!(split_batch_response(open), None, "unterminated string");
+    assert_eq!(split_batch_response(&batch_response(&[])), Some(vec![]));
+}
+
+#[test]
+fn split_batch_response_recovers_real_server_sub_replies() {
+    let subs = vec![
+        payload("project", VEC_ADD),
+        "gpp/1 ping".to_string(),
+        payload("analyze", HOTSPOT),
+        "gpp/1 project\n".to_string(),
+    ];
+    let singles: Vec<String> = {
+        let s = ServiceState::new(ServeConfig::default());
+        subs.iter().map(|p| s.handle(p, 0)).collect()
+    };
+    let s = ServiceState::new(ServeConfig::default());
+    let reply = s.handle(&Request::new_batch(subs).encode(), 0);
+    assert_eq!(
+        split_batch_response(&reply),
+        Some(singles.iter().map(String::as_str).collect())
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Splitting a joined batch reply returns every part unchanged, even
+    /// when the parts' strings hold commas, brackets, braces and escaped
+    /// quotes at any nesting depth.
+    #[test]
+    fn split_of_join_returns_the_parts(
+        parts in proptest::collection::vec(
+            (proptest::collection::vec(0usize..TRICKY.len(), 0..12), 0usize..3),
+            0..8,
+        ),
+    ) {
+        let replies: Vec<String> =
+            parts.iter().map(|(picks, nest)| tricky_reply(picks, *nest)).collect();
+        let joined = batch_response(&replies);
+        let split = split_batch_response(&joined);
+        prop_assert_eq!(split, Some(replies.iter().map(String::as_str).collect()));
+    }
 
     /// For any mix of deterministic sub-requests (well-formed and broken
     /// alike — `stats` is excluded since its counters depend on the frame
