@@ -18,6 +18,9 @@ cargo bench $CARGO_FLAGS --no-run
 echo "== workspace builds warning-free"
 RUSTFLAGS="-D warnings" cargo build $CARGO_FLAGS --workspace
 
+echo "== rustdoc (intra-doc links resolve, deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc $CARGO_FLAGS --no-deps --workspace
+
 echo "== tier-1: build + tests"
 # The root Cargo.toml's default-members cover every crate, so these two
 # commands build and test the whole workspace.

@@ -1,5 +1,5 @@
 //! Throughput of the `gpp-serve` projection service: what the caches and
-//! the SoA batch path buy, measured at the service layer.
+//! the fast kernel search buy, measured at the service layer.
 //!
 //! Three tiers, slowest to fastest:
 //!   * `cold`      — a fresh service per request: pays calibration +
@@ -7,8 +7,8 @@
 //!   * `hot`       — primed service, repeated query: both caches hit,
 //!     the steady state of a serve deployment;
 //!   * `hot_batch` — primed service, `batch` frames of many sub-requests
-//!     each: the wire path that fans out through `gpp_par` into the SoA
-//!     projector. Its `req_per_s` counts sub-requests; its latency
+//!     each: the wire path that fans out through `gpp_par` into the fast
+//!     kernel search. Its `req_per_s` counts sub-requests; its latency
 //!     percentiles are per *frame*.
 //!
 //! Methodology (see README § Performance): every tier runs `ROUNDS`
@@ -123,7 +123,7 @@ fn main() {
 
     // Hot batch: frames of BATCH_WIDTH distinct-seed sub-requests (cache
     // misses on first round, hits after — min-of-N keeps the hit rounds)
-    // through the parallel fan-out and the SoA projector.
+    // through the parallel fan-out and the fast kernel search.
     let frames: Vec<String> = (0..BATCH_FRAMES)
         .map(|f| {
             Request::new_batch(

@@ -1,6 +1,7 @@
 //! The parallel projection engine's central guarantee: the projection a
 //! user sees is bit-identical to the serial exhaustive search — at any
-//! thread count, with and without pruning and the synthesis memo.
+//! thread count, through either kernel search (`SearchOpts::Fast`, the
+//! production path, and `SearchOpts::Exhaustive`, the oracle).
 //!
 //! `Debug` for `f64` prints the shortest string that round-trips, so two
 //! projections render identically iff every float in them has the same
@@ -24,20 +25,16 @@ fn projections_are_bit_identical_across_thread_counts_and_options() {
         gpp_par::set_threads(1);
         let reference = format!(
             "{:?}",
-            gro.project_with(&case.program, &case.hints, SearchOpts::exhaustive())
+            gro.project_with(&case.program, &case.hints, SearchOpts::Exhaustive)
         );
         for threads in [1, 2, 8] {
             gpp_par::set_threads(threads);
-            for (label, opts) in [
-                ("exhaustive", SearchOpts::exhaustive()),
-                ("scalar prune+memo", SearchOpts::scalar()),
-                ("soa prune+memo", SearchOpts::default()),
-            ] {
+            for opts in [SearchOpts::Exhaustive, SearchOpts::Fast] {
                 let got = format!("{:?}", gro.project_with(&case.program, &case.hints, opts));
                 assert_eq!(
                     got, reference,
-                    "{} {}: {} projection at {} threads diverged from serial",
-                    case.app, case.dataset, label, threads
+                    "{} {}: {:?} projection at {} threads diverged from serial",
+                    case.app, case.dataset, opts, threads
                 );
             }
         }
@@ -94,41 +91,18 @@ fn empty_fault_plan_is_bit_identical_to_plain_path() {
 }
 
 #[test]
-fn pruning_never_changes_the_selected_best_config() {
+fn both_searches_select_the_best_config_of_the_full_report() {
     let spec = MachineConfig::anl_eureka_node(SEED).gpu_spec;
     for case in paper_cases() {
         for kernel in &case.program.kernels {
             for axis in kernel.axis_candidates() {
                 let chars = kernel.characteristics_with_axis(&case.program, axis);
-                let (exhaustive_best, _) = project_all(&kernel.name, &chars, &spec);
-                for opts in [
-                    SearchOpts::default(),
-                    SearchOpts::scalar(),
-                    SearchOpts {
-                        prune: true,
-                        memo: false,
-                        soa: false,
-                    },
-                    SearchOpts {
-                        prune: false,
-                        memo: true,
-                        soa: false,
-                    },
-                    SearchOpts {
-                        prune: true,
-                        memo: false,
-                        soa: true,
-                    },
-                    SearchOpts {
-                        prune: false,
-                        memo: false,
-                        soa: true,
-                    },
-                ] {
-                    let pruned = project_best_with(&kernel.name, &chars, &spec, opts);
+                let (report_best, _) = project_all(&kernel.name, &chars, &spec);
+                for opts in [SearchOpts::Fast, SearchOpts::Exhaustive] {
+                    let best = project_best_with(&kernel.name, &chars, &spec, opts);
                     assert_eq!(
-                        format!("{:?}", pruned),
-                        format!("{:?}", exhaustive_best),
+                        format!("{:?}", best),
+                        format!("{:?}", report_best),
                         "{} {} kernel {}: {:?} changed the selected best",
                         case.app,
                         case.dataset,

@@ -1,7 +1,8 @@
-//! The SoA batch projector against the committed artifact corpus: every
-//! skeleton in `skeletons/` × every machine datasheet in
-//! `fixtures/machines/` (plus the built-ins), at several thread counts,
-//! must project bit-identically to the serial exhaustive search.
+//! The fast kernel search (`SearchOpts::Fast`) against the committed
+//! artifact corpus: every skeleton in `skeletons/` × every machine
+//! datasheet in `fixtures/machines/` (plus the built-ins), at several
+//! thread counts, must project bit-identically to the serial exhaustive
+//! oracle (`SearchOpts::Exhaustive`).
 //!
 //! `determinism.rs` proves the same property over the synthetic paper
 //! workloads; this suite proves it over the artifacts users actually
@@ -66,19 +67,16 @@ fn soa_projection_is_bit_identical_over_the_committed_corpus() {
             gpp_par::set_threads(1);
             let reference = format!(
                 "{:?}",
-                gro.project_with(program, &hints, SearchOpts::exhaustive())
+                gro.project_with(program, &hints, SearchOpts::Exhaustive)
             );
 
             for threads in [1, 2, 8] {
                 gpp_par::set_threads(threads);
-                let got = format!(
-                    "{:?}",
-                    gro.project_with(program, &hints, SearchOpts::default())
-                );
+                let got = format!("{:?}", gro.project_with(program, &hints, SearchOpts::Fast));
                 assert_eq!(
                     got,
                     reference,
-                    "{} on `{name}`: SoA projection at {threads} threads \
+                    "{} on `{name}`: fast projection at {threads} threads \
                      diverged from serial exhaustive",
                     path.file_name().unwrap().to_string_lossy(),
                 );

@@ -56,9 +56,7 @@ pub use set::SectionSet;
 ///
 /// `ArrayId`s are allocated by whoever builds the program representation
 /// (see the `gpp-skeleton` crate) and are only meaningful within that scope.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ArrayId(pub u32);
 
 impl ArrayId {
@@ -81,7 +79,7 @@ impl std::fmt::Display for ArrayId {
 /// decide what must be transferred: sections that are *read but not
 /// previously written* flow host→device; the union of all *written* sections
 /// flows device→host (paper §III-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// The statement loads from the section.
     Read,

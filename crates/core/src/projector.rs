@@ -227,8 +227,9 @@ impl Grophecy {
         self.project_with(program, hints, SearchOpts::default())
     }
 
-    /// [`Grophecy::project`] with explicit search options (benchmarks and
-    /// the determinism suite compare the code paths).
+    /// [`Grophecy::project`] with an explicit kernel search (benchmarks
+    /// and the determinism suite hold the fast search to the exhaustive
+    /// oracle).
     ///
     /// The kernel × axis × transformation search is flattened into one
     /// task list and distributed over the `gpp-par` global pool; results

@@ -18,10 +18,14 @@
 //!    achievable performance and the transformations necessary to reach
 //!    that performance" (paper §II-C).
 //!
-//! The search runs on the `gpp-par` global pool with a branch-and-bound
-//! prune (memory-roofline lower bound) and a process-wide synthesis memo;
-//! all three are observationally pure — the selected best projection is
-//! bit-identical to the serial exhaustive search at any `GPP_THREADS`.
+//! Step 4 has one production path and one reference oracle
+//! ([`SearchOpts`]). [`SearchOpts::Fast`], what [`project_best`] runs,
+//! synthesizes once per shared-memory staging class through a
+//! process-wide memo, caches each (kernel, device) setup per thread, and
+//! evaluates the candidates as structure-of-arrays lanes.
+//! [`SearchOpts::Exhaustive`] synthesizes and projects every candidate
+//! through the scalar model. Both select the bit-identical projection;
+//! the test suites hold `Fast` to `Exhaustive` at every `GPP_THREADS`.
 //!
 //! The model sees only *public* information: the code skeleton and the
 //! device datasheet. It does **not** see the timing simulator's internal
@@ -47,7 +51,6 @@ pub use project::{
 };
 pub use spec::GpuSpec;
 pub use transform::{
-    candidate_space, candidate_space_into, program_fingerprint, synth_memo_stats,
-    synthesize_cached, synthesize_cached_keyed, synthesize_transformed, CharsKey,
-    SynthesizedKernel, Transformation,
+    candidate_space, program_fingerprint, synth_memo_stats, synthesize_cached_keyed,
+    synthesize_transformed, CharsKey, SynthesizedKernel, Transformation,
 };

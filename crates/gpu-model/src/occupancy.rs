@@ -27,7 +27,7 @@ impl ModelOccupancy {
 
     /// [`Self::compute`] on bare resource figures — the single source of
     /// the integer occupancy rules, shared by the scalar path (through a
-    /// `SynthesizedKernel`) and the SoA batch projector (which derives
+    /// `SynthesizedKernel`) and the fast search's lanes (which derive
     /// per-lane registers and shared memory without synthesizing).
     pub fn compute_parts(
         spec: &GpuSpec,

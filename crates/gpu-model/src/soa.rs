@@ -1,99 +1,67 @@
-//! The SoA batch projector — the zero-allocation transformation-search
-//! hot path.
+//! The fast transformation search ([`crate::SearchOpts::Fast`]) — the
+//! production path behind [`crate::project_best`].
 //!
-//! The scalar search ([`crate::project::project_best_with`] with
-//! `soa: false`) pays per candidate: a synthesis (or a memo probe — a
-//! lock, a hash, an `Arc` clone), a heap-backed `SynthesizedKernel`, and
-//! scalar roofline arithmetic. But almost everything a candidate needs is
-//! invariant across the block-geometry and unroll knobs: the access
-//! streams, shared-memory traffic, barriers, and DRAM roofline depend
-//! *only* on whether reusable loads are staged (see
-//! [`crate::transform::synthesize_transformed`]). This module therefore
-//! synthesizes **once per staging class** (at most twice per search),
-//! folds each class into a small [`StagingAgg`] of plain `f64`/integer
-//! aggregates, and evaluates the whole candidate space as
-//! structure-of-arrays lanes in tight loops: one integer/occupancy pass,
-//! one pure-`f64` arithmetic pass, one masked index-ordered reduction.
+//! Almost everything a candidate needs is invariant across the
+//! block-geometry and unroll knobs: the access streams, shared-memory
+//! traffic, barriers, and DRAM roofline depend *only* on whether reusable
+//! loads are staged (see [`crate::transform::synthesize_transformed`]).
+//! This module therefore synthesizes **once per staging class** (at most
+//! twice per kernel, through the process-wide synthesis memo), folds each
+//! class into a small [`StagingAgg`] of plain `f64`/integer aggregates,
+//! and precomputes the integer lanes (issue cycles, occupancy) of the
+//! whole candidate space as structure-of-arrays in a [`SetupEntry`].
 //!
-//! Scratch lives in a per-thread [`SearchArena`] — the candidate buffer
-//! and the lanes are reused across searches, so the steady-state serial
-//! hot path allocates nothing but the winner's name `String`.
+//! Entries live in a small per-thread setup cache keyed by
+//! (characteristics fingerprint, spec fingerprint), so a repeated search
+//! runs only the pure-`f64` roofline pass and a masked index-ordered
+//! reduction, allocating nothing but the winner's name `String`.
 //!
 //! # Bit-identity
 //!
-//! Every lane reproduces the scalar path's float expressions *textually*
-//! — same associativity, same cast sites, same `clamp`/`max` order — so
-//! an evaluated lane is bit-for-bit the scalar `project_inner` of the
-//! same candidate, and the (time, candidate-index) lexicographic prune
-//! skips only provable losers. The determinism suite and the
-//! skeleton × machine proptests hold the engine to that claim at every
-//! thread count.
+//! Every lane reproduces the scalar `project_inner` float expressions
+//! *textually* — same associativity, same cast sites, same `clamp`/`max`
+//! order — so an evaluated lane is bit-for-bit the scalar projection of
+//! the same candidate, and the index-ordered strict minimum selects the
+//! candidate the [`crate::SearchOpts::Exhaustive`] oracle selects. The
+//! determinism suite, the committed-corpus suite and the
+//! skeleton × machine proptests hold the two paths to that claim at
+//! every thread count.
 
 use crate::occupancy::ModelOccupancy;
-use crate::project::{
-    synthesize_for, Eval, KernelProjection, ProjectionBound, SearchOpts, Threshold, BARRIER_CYCLES,
-};
+use crate::project::{no_runnable, Eval, KernelProjection, ProjectionBound, BARRIER_CYCLES};
 use crate::spec::GpuSpec;
 use crate::transform::{
-    candidate_space_into, CharsKey, SynthesizedKernel, Transformation, BASE_REGS,
+    candidate_space, synthesize_cached_keyed, CharsKey, SynthesizedKernel, Transformation,
+    BASE_REGS,
 };
 use gpp_skeleton::KernelCharacteristics;
 use std::cell::RefCell;
-use std::sync::Mutex;
-
-/// Candidates evaluated per SoA block: the work-stealing granule
-/// (`gpp_par::par_map_blocks`) and the prune-threshold update interval.
-/// Small enough that typical spaces (≤ 36 candidates) split across
-/// workers, large enough that the lanes amortize the block overhead.
-const BLOCK: usize = 16;
 
 thread_local! {
-    static ARENA: RefCell<SearchArena> = RefCell::new(SearchArena::default());
+    static CACHE: RefCell<SetupCache> = RefCell::new(SetupCache::default());
 }
 
-/// Checks the calling thread's arena out of thread-local storage for the
-/// duration of `f`. Take-and-restore (instead of holding a `RefCell`
-/// borrow) lets the caller participate as a pool worker: a re-entrant
-/// checkout on the same thread sees a fresh default arena, not a borrow
-/// panic.
-fn with_arena<R>(f: impl FnOnce(&mut SearchArena) -> R) -> R {
-    ARENA.with(|cell| {
-        let mut arena = cell.take();
-        let r = f(&mut arena);
-        cell.replace(arena);
-        r
-    })
-}
-
-/// Reusable per-thread scratch for the SoA search: the candidate list,
-/// the per-candidate lanes, and the per-(kernel, spec) setup cache.
-/// Capacity persists across searches.
+/// The per-thread setup cache: at most [`SETUP_CACHE_CAP`] entries,
+/// replaced round-robin.
 #[derive(Default)]
-pub(crate) struct SearchArena {
-    candidates: Vec<Transformation>,
-    lanes: Lanes,
-    cache: Vec<SetupEntry>,
+struct SetupCache {
+    entries: Vec<SetupEntry>,
     next_evict: usize,
 }
 
 /// Most entries the per-thread setup cache holds; replacement is
 /// round-robin. A serve deployment cycles over a handful of hot kernels
 /// per machine, so a small cache hits nearly always, and a miss costs
-/// only what every search paid before the cache existed.
+/// only one entry build.
 const SETUP_CACHE_CAP: usize = 8;
 
-/// One cached search setup: everything `project_best_soa` derives from
+/// One cached search setup: everything the search derives from
 /// `(chars, spec)` before the roofline arithmetic — the candidate space,
 /// the per-staging-class aggregates, and the **static lanes**: per-
 /// candidate issue cycles and occupancy, which depend only on the key.
 /// All of it is a pure function of `(chars, spec)`, so a hit replays the
-/// integer passes from the arena and the search runs only the pure-`f64`
-/// roofline lanes and the reduction.
-///
-/// The static lanes cover the *whole* space (no pruning at build time):
-/// a pruned lane is a provable loser of the (time, index) tie-break, so
-/// evaluating it anyway cannot change the argmin — the prune exists to
-/// save work, and here the work is already done.
+/// integer passes and the search runs only the pure-`f64` roofline lanes
+/// and the reduction.
 struct SetupEntry {
     chars_key: CharsKey,
     spec_key: u64,
@@ -132,38 +100,6 @@ fn spec_fingerprint(spec: &GpuSpec) -> u64 {
     push(spec.launch_overhead.to_bits());
     push(spec.misaligned_halfwarp_transactions.to_bits());
     h
-}
-
-/// The structure-of-arrays lanes, indexed by in-block candidate
-/// position. `warps_per_sm == 0` marks a lane that is skipped (pruned or
-/// unrunnable) — warp counts of runnable candidates are always ≥ 1.
-#[derive(Default)]
-struct Lanes {
-    warp_cycles: Vec<f64>,
-    compute_time: Vec<f64>,
-    latency_time: Vec<f64>,
-    time: Vec<f64>,
-    blocks_per_sm: Vec<u32>,
-    warps_per_sm: Vec<u32>,
-}
-
-impl Lanes {
-    /// Zeroes the first `n` lanes, reusing capacity.
-    fn reset(&mut self, n: usize) {
-        for lane in [
-            &mut self.warp_cycles,
-            &mut self.compute_time,
-            &mut self.latency_time,
-            &mut self.time,
-        ] {
-            lane.clear();
-            lane.resize(n, 0.0);
-        }
-        for lane in [&mut self.blocks_per_sm, &mut self.warps_per_sm] {
-            lane.clear();
-            lane.resize(n, 0);
-        }
-    }
 }
 
 /// Everything a lane needs that is constant across the whole search.
@@ -215,16 +151,12 @@ struct StagingAgg {
     mem_insts: f64,
     dram_bytes: f64,
     memory_time: f64,
-    /// `memory_time + launch_overhead`: the exact memory-roofline prune
-    /// bound the scalar path uses.
-    lower_bound: f64,
 }
 
 impl StagingAgg {
     fn of(synth: &SynthesizedKernel, spec: &GpuSpec) -> Self {
         let bytes_per_thread = synth.global_bytes_per_thread(spec);
         let dram_bytes = synth.threads as f64 * bytes_per_thread;
-        let memory_time = dram_bytes / spec.assumed_mem_bw();
         StagingAgg {
             shared_accesses: synth.shared_accesses,
             syncs_f: synth.syncs as f64,
@@ -233,130 +165,22 @@ impl StagingAgg {
             tile_bytes: synth.tile_bytes,
             mem_insts: synth.global_mem_insts(),
             dram_bytes,
-            memory_time,
-            lower_bound: memory_time + spec.launch_overhead,
+            memory_time: dram_bytes / spec.assumed_mem_bw(),
         }
     }
 }
 
-/// Evaluates one block of candidates into `lanes` and returns the
-/// block's index-ordered strict-minimum `(global index, Eval)`. `base`
-/// is the global index of `cands[0]`; `threshold`, when present, prunes
-/// lanes whose class lower bound provably loses the (time, index)
-/// tie-break.
-fn eval_block(
-    spec: &GpuSpec,
-    consts: &KernelConsts,
-    aggs: &[Option<StagingAgg>; 2],
-    cands: &[Transformation],
-    base: usize,
-    lanes: &mut Lanes,
-    threshold: Option<&Threshold>,
-) -> Option<(usize, Eval)> {
-    let n = cands.len();
-    lanes.reset(n);
-
-    // Pass 1: per-lane resources and occupancy (integer rules), plus the
-    // per-warp issue cycles that depend on the unroll factor.
-    for (i, &c) in cands.iter().enumerate() {
-        let agg = aggs[c.use_shared as usize].as_ref().expect("class present");
-        if let Some(t) = threshold {
-            if agg.lower_bound > t.time || (agg.lower_bound == t.time && base + i > t.idx) {
-                continue; // provably loses the (time, index) tie-break
-            }
-        }
-        let mut slots = consts.base_slots;
-        if c.unroll > 1 {
-            slots *= 1.0 - 0.04 * (c.unroll as f64).log2();
-        }
-        let regs = BASE_REGS + 2 * (c.unroll as f64).log2() as u32 + agg.reg_bonus;
-        let shared_per_block = if agg.staged_groups > 0 {
-            (c.block_threads as f64 * agg.tile_bytes.max(4) as f64 * 1.3 * agg.staged_groups as f64)
-                as u32
-        } else {
-            0
-        };
-        if let Some(occ) = ModelOccupancy::compute_parts(
-            spec,
-            c.block_threads,
-            regs,
-            shared_per_block,
-            consts.threads,
-        ) {
-            lanes.blocks_per_sm[i] = occ.blocks_per_sm;
-            lanes.warps_per_sm[i] = occ.warps_per_sm;
-            lanes.warp_cycles[i] = (slots + agg.shared_accesses) * consts.cpi * consts.divergence
-                + agg.syncs_f * BARRIER_CYCLES;
-        }
-    }
-
-    // Pass 2: the pure-f64 roofline lanes — tight, branch-free except
-    // for the per-class aggregate pick, and safe on skipped lanes (their
-    // garbage times are masked out by `warps_per_sm == 0` below).
-    for i in 0..n {
-        let agg = aggs[cands[i].use_shared as usize]
-            .as_ref()
-            .expect("class present");
-        let warp_cycles = lanes.warp_cycles[i];
-        let compute_time = consts.total_warps * warp_cycles / consts.sm_clock;
-        let critical_path = agg.mem_insts * consts.mem_latency_cycles + warp_cycles;
-        let latency_time = consts.total_warps * critical_path
-            / (lanes.warps_per_sm[i] as f64 * consts.sms_f * consts.clock_hz);
-        let exec = compute_time.max(agg.memory_time).max(latency_time);
-        lanes.compute_time[i] = compute_time;
-        lanes.latency_time[i] = latency_time;
-        lanes.time[i] = exec + consts.launch_overhead;
-    }
-
-    // Pass 3: masked index-ordered strict minimum, then materialize the
-    // winner's full evaluation (bound from the same comparisons the
-    // scalar path makes).
-    let mut best: Option<usize> = None;
-    for i in 0..n {
-        if lanes.warps_per_sm[i] == 0 {
-            continue;
-        }
-        if best.is_none_or(|b| lanes.time[i] < lanes.time[b]) {
-            best = Some(i);
-        }
-    }
-    let i = best?;
-    let agg = aggs[cands[i].use_shared as usize]
-        .as_ref()
-        .expect("class present");
-    let compute_time = lanes.compute_time[i];
-    let latency_time = lanes.latency_time[i];
-    let exec = compute_time.max(agg.memory_time).max(latency_time);
-    let bound = if exec == compute_time && compute_time >= agg.memory_time {
-        ProjectionBound::Compute
-    } else if exec == agg.memory_time {
-        ProjectionBound::Memory
-    } else {
-        ProjectionBound::Latency
-    };
-    Some((
-        base + i,
-        Eval {
-            time: lanes.time[i],
-            bound,
-            occupancy: ModelOccupancy {
-                blocks_per_sm: lanes.blocks_per_sm[i],
-                warps_per_sm: lanes.warps_per_sm[i],
-            },
-            dram_bytes: agg.dram_bytes,
-        },
-    ))
-}
-
-/// One synthesis per staging class present in the space (the same probe
-/// the scalar prune uses, so memo entries are shared), folded into the
-/// per-class aggregates.
-fn build_aggs(
+/// Builds the full cached setup for `(chars, spec)`: candidate space,
+/// per-class aggregates (one memoized synthesis per staging class
+/// present), and the static lanes.
+fn build_entry(
     chars: &KernelCharacteristics,
     spec: &GpuSpec,
-    candidates: &[Transformation],
-    memo_key: Option<CharsKey>,
-) -> [Option<StagingAgg>; 2] {
+    chars_key: CharsKey,
+    spec_key: u64,
+    consts: &KernelConsts,
+) -> SetupEntry {
+    let candidates = candidate_space(chars, spec);
     let mut aggs: [Option<StagingAgg>; 2] = [None, None];
     for use_shared in [false, true] {
         if candidates.iter().any(|c| c.use_shared == use_shared) {
@@ -366,30 +190,10 @@ fn build_aggs(
                 thread_axis: None,
                 ..candidates[0]
             };
-            let synth = synthesize_for(chars, probe, memo_key);
+            let synth = synthesize_cached_keyed(chars_key, chars, probe);
             aggs[use_shared as usize] = Some(StagingAgg::of(&synth, spec));
         }
     }
-    aggs
-}
-
-/// Builds the full cached setup for `(chars, spec)`: candidate space,
-/// per-class aggregates, and the static lanes. The per-lane resource and
-/// occupancy code is the same as `eval_block`'s pass 1 — kept textually
-/// identical so a cached lane is bit-for-bit a freshly computed one —
-/// except that nothing is pruned: the cache outlives any one search's
-/// threshold.
-fn build_entry(
-    chars: &KernelCharacteristics,
-    spec: &GpuSpec,
-    memo_key: Option<CharsKey>,
-    chars_key: CharsKey,
-    spec_key: u64,
-    consts: &KernelConsts,
-) -> SetupEntry {
-    let mut candidates = Vec::new();
-    candidate_space_into(chars, spec, &mut candidates);
-    let aggs = build_aggs(chars, spec, &candidates, memo_key);
     let n = candidates.len();
     let mut warp_cycles = vec![0.0; n];
     let mut blocks_per_sm = vec![0u32; n];
@@ -432,48 +236,35 @@ fn build_entry(
     }
 }
 
-/// Evaluates a range of a cached entry's static lanes: the pure-`f64`
-/// roofline per lane (the same expressions as `eval_block`'s pass 2) and
-/// the masked index-ordered strict minimum. No pruning — every runnable
-/// lane is already materialized, so evaluating all of them is both
-/// cheaper than threshold bookkeeping and trivially order-independent.
-fn eval_entry(
-    entry: &SetupEntry,
-    consts: &KernelConsts,
-    r: std::ops::Range<usize>,
-) -> Option<(usize, Eval)> {
-    let mut best: Option<(usize, f64)> = None;
-    for i in r {
-        let warps = entry.warps_per_sm[i];
-        if warps == 0 {
-            continue;
-        }
+/// Evaluates a cached entry's static lanes: the pure-`f64` roofline per
+/// runnable lane and the masked index-ordered strict minimum, then the
+/// winner's full evaluation (bound from the same comparisons the scalar
+/// path makes).
+fn eval_entry(entry: &SetupEntry, consts: &KernelConsts) -> Option<(usize, Eval)> {
+    let roofline = |i: usize| {
         let agg = entry.aggs[entry.candidates[i].use_shared as usize]
             .as_ref()
             .expect("class present");
         let warp_cycles = entry.warp_cycles[i];
         let compute_time = consts.total_warps * warp_cycles / consts.sm_clock;
         let critical_path = agg.mem_insts * consts.mem_latency_cycles + warp_cycles;
-        let latency_time =
-            consts.total_warps * critical_path / (warps as f64 * consts.sms_f * consts.clock_hz);
+        let latency_time = consts.total_warps * critical_path
+            / (entry.warps_per_sm[i] as f64 * consts.sms_f * consts.clock_hz);
         let exec = compute_time.max(agg.memory_time).max(latency_time);
-        let time = exec + consts.launch_overhead;
+        (agg, compute_time, exec)
+    };
+    let mut best: Option<(usize, f64)> = None;
+    for i in 0..entry.candidates.len() {
+        if entry.warps_per_sm[i] == 0 {
+            continue;
+        }
+        let time = roofline(i).2 + consts.launch_overhead;
         if best.is_none_or(|(_, bt)| time < bt) {
             best = Some((i, time));
         }
     }
     let (i, time) = best?;
-    // Winner materialization: recompute the bound pieces with the same
-    // comparisons the scalar path makes.
-    let agg = entry.aggs[entry.candidates[i].use_shared as usize]
-        .as_ref()
-        .expect("class present");
-    let warp_cycles = entry.warp_cycles[i];
-    let compute_time = consts.total_warps * warp_cycles / consts.sm_clock;
-    let critical_path = agg.mem_insts * consts.mem_latency_cycles + warp_cycles;
-    let latency_time = consts.total_warps * critical_path
-        / (entry.warps_per_sm[i] as f64 * consts.sms_f * consts.clock_hz);
-    let exec = compute_time.max(agg.memory_time).max(latency_time);
+    let (agg, compute_time, exec) = roofline(i);
     let bound = if exec == compute_time && compute_time >= agg.memory_time {
         ProjectionBound::Compute
     } else if exec == agg.memory_time {
@@ -495,173 +286,114 @@ fn eval_entry(
     ))
 }
 
-/// The SoA search: [`crate::project::project_best_with`] routes here
-/// when `opts.soa` is set. With the memo on, the setup cache supplies
-/// precomputed static lanes and only the roofline arithmetic runs; with
-/// the memo off, everything is rebuilt in arena scratch and evaluated
-/// block-by-block with the (time, index) prune. Parallel evaluation
-/// work-steals over candidate blocks; block bests are reduced in index
-/// order, so the result is bit-identical to the scalar search at any
-/// thread count.
+/// The fast search: looks `(chars, spec)` up in the calling thread's
+/// setup cache (building the entry on a miss) and evaluates its lanes.
 pub(crate) fn project_best_soa(
     name: &str,
     chars: &KernelCharacteristics,
     spec: &GpuSpec,
-    opts: SearchOpts,
 ) -> KernelProjection {
-    with_arena(|arena| {
-        let memo_key = opts.memo.then(|| CharsKey::of(chars));
-        let consts = KernelConsts::of(chars, spec);
-
-        if let Some(chars_key) = memo_key {
-            let spec_key = spec_fingerprint(spec);
-            let slot = arena
-                .cache
-                .iter()
-                .position(|e| e.chars_key == chars_key && e.spec_key == spec_key)
-                .unwrap_or_else(|| {
-                    let entry = build_entry(chars, spec, memo_key, chars_key, spec_key, &consts);
-                    if arena.cache.len() < SETUP_CACHE_CAP {
-                        arena.cache.push(entry);
-                        arena.cache.len() - 1
-                    } else {
-                        let slot = arena.next_evict % SETUP_CACHE_CAP;
-                        arena.next_evict = arena.next_evict.wrapping_add(1);
-                        arena.cache[slot] = entry;
-                        slot
-                    }
-                });
-            let entry = &arena.cache[slot];
-            let n = entry.candidates.len();
-            let best = if n > BLOCK && gpp_par::configured_threads() > 1 {
-                let block_bests =
-                    gpp_par::par_map_blocks(n, BLOCK, |r| eval_entry(entry, &consts, r));
-                let mut best: Option<(usize, Eval)> = None;
-                for cand in block_bests.into_iter().flatten() {
-                    if best.is_none_or(|(_, b)| cand.1.time < b.time) {
-                        best = Some(cand);
-                    }
-                }
-                best
-            } else {
-                eval_entry(entry, &consts, 0..n)
-            };
-            return finish(name, &entry.candidates, best);
-        }
-
-        // Memo off: rebuild everything in arena scratch and evaluate with
-        // the (time, index) prune — the reference SoA path the proptests
-        // hold to the scalar answer.
-        candidate_space_into(chars, spec, &mut arena.candidates);
-        let fresh_aggs = build_aggs(chars, spec, &arena.candidates, None);
-        let SearchArena {
-            candidates: scratch,
-            lanes,
-            ..
-        } = &mut *arena;
-        let cands: &[Transformation] = scratch;
-        let aggs = &fresh_aggs;
-
-        let n = cands.len();
-        let nblocks = n.div_ceil(BLOCK);
-
-        let best: Option<(usize, Eval)> = if nblocks > 1 && gpp_par::configured_threads() > 1 {
-            let candidates = cands;
-            let threshold = Mutex::new(Threshold {
-                time: f64::INFINITY,
-                idx: usize::MAX,
-            });
-            let block_bests = gpp_par::par_map_blocks(n, BLOCK, |r| {
-                // One threshold snapshot per block: coarser than the
-                // scalar per-candidate lock, equally safe (a stale
-                // threshold only prunes less, never differently).
-                let snap = if opts.prune {
-                    let t = threshold.lock().unwrap();
-                    Some(Threshold {
-                        time: t.time,
-                        idx: t.idx,
-                    })
+    let chars_key = CharsKey::of(chars);
+    let spec_key = spec_fingerprint(spec);
+    let consts = KernelConsts::of(chars, spec);
+    CACHE.with(|cell| {
+        let cache = &mut *cell.borrow_mut();
+        let slot = cache
+            .entries
+            .iter()
+            .position(|e| e.chars_key == chars_key && e.spec_key == spec_key)
+            .unwrap_or_else(|| {
+                let entry = build_entry(chars, spec, chars_key, spec_key, &consts);
+                if cache.entries.len() < SETUP_CACHE_CAP {
+                    cache.entries.push(entry);
+                    cache.entries.len() - 1
                 } else {
-                    None
-                };
-                let res = with_arena(|worker| {
-                    eval_block(
-                        spec,
-                        &consts,
-                        aggs,
-                        &candidates[r.clone()],
-                        r.start,
-                        &mut worker.lanes,
-                        snap.as_ref(),
-                    )
-                });
-                if opts.prune {
-                    if let Some((idx, ev)) = res {
-                        let mut t = threshold.lock().unwrap();
-                        if ev.time < t.time || (ev.time == t.time && idx < t.idx) {
-                            *t = Threshold { time: ev.time, idx };
-                        }
-                    }
+                    let slot = cache.next_evict % SETUP_CACHE_CAP;
+                    cache.next_evict = cache.next_evict.wrapping_add(1);
+                    cache.entries[slot] = entry;
+                    slot
                 }
-                res
             });
-            let mut best: Option<(usize, Eval)> = None;
-            for cand in block_bests.into_iter().flatten() {
-                if best.is_none_or(|(_, b)| cand.1.time < b.time) {
-                    best = Some(cand);
-                }
-            }
-            best
-        } else {
-            let candidates = cands;
-            let mut threshold = Threshold {
-                time: f64::INFINITY,
-                idx: usize::MAX,
-            };
-            let mut best: Option<(usize, Eval)> = None;
-            for b in 0..nblocks {
-                let lo = b * BLOCK;
-                let hi = (lo + BLOCK).min(n);
-                let res = eval_block(
-                    spec,
-                    &consts,
-                    aggs,
-                    &candidates[lo..hi],
-                    lo,
-                    lanes,
-                    opts.prune.then_some(&threshold),
-                );
-                if let Some((idx, ev)) = res {
-                    if opts.prune
-                        && (ev.time < threshold.time
-                            || (ev.time == threshold.time && idx < threshold.idx))
-                    {
-                        threshold = Threshold { time: ev.time, idx };
-                    }
-                    if best.is_none_or(|(_, b)| ev.time < b.time) {
-                        best = Some((idx, ev));
-                    }
-                }
-            }
-            best
-        };
-
-        finish(name, cands, best)
+        let entry = &cache.entries[slot];
+        let (idx, ev) = eval_entry(entry, &consts).unwrap_or_else(|| no_runnable(name));
+        ev.into_projection(name, entry.candidates[idx])
     })
 }
 
-/// Materializes the winning projection — the only allocation of a
-/// steady-state search is the winner's name `String` here.
-fn finish(name: &str, cands: &[Transformation], best: Option<(usize, Eval)>) -> KernelProjection {
-    let (idx, ev) = best.unwrap_or_else(|| {
-        panic!("no runnable transformation for kernel `{name}` — block sizes exhausted")
-    });
-    KernelProjection {
-        name: name.to_string(),
-        config: cands[idx],
-        time: ev.time,
-        bound: ev.bound,
-        occupancy: ev.occupancy,
-        dram_bytes: ev.dram_bytes,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::project::{project_best, project_best_with, SearchOpts};
+    use gpp_skeleton::builder::{idx, ProgramBuilder};
+    use gpp_skeleton::{ElemType, Flops};
+
+    /// A 1D 3-point stencil over `n` elements: reuse makes the staging
+    /// class real, so both aggregates are exercised.
+    fn stencil_chars(n: u64) -> KernelCharacteristics {
+        let mut p = ProgramBuilder::new("s");
+        let a = p.array("in", ElemType::F32, &[n as usize + 2]);
+        let b = p.array("out", ElemType::F32, &[n as usize + 2]);
+        let mut k = p.kernel("k");
+        let i = k.parallel_loop("i", n);
+        k.statement()
+            .read(a, &[idx(i)])
+            .read(a, &[idx(i) + 1])
+            .read(a, &[idx(i) + 2])
+            .write(b, &[idx(i) + 1])
+            .flops(Flops {
+                adds: 2,
+                ..Flops::default()
+            })
+            .finish();
+        k.finish();
+        let prog = p.build().unwrap();
+        prog.kernels[0].characteristics(&prog)
+    }
+
+    fn is_cached(chars: &KernelCharacteristics, spec: &GpuSpec) -> bool {
+        let (chars_key, spec_key) = (CharsKey::of(chars), spec_fingerprint(spec));
+        CACHE.with(|cell| {
+            cell.borrow()
+                .entries
+                .iter()
+                .any(|e| e.chars_key == chars_key && e.spec_key == spec_key)
+        })
+    }
+
+    fn assert_matches_oracle(chars: &KernelCharacteristics, spec: &GpuSpec) -> KernelProjection {
+        let fast = project_best("k", chars, spec);
+        let oracle = project_best_with("k", chars, spec, SearchOpts::Exhaustive);
+        assert_eq!(format!("{fast:?}"), format!("{oracle:?}"));
+        fast
+    }
+
+    #[test]
+    fn setup_cache_eviction_and_spec_keys_never_change_the_answer() {
+        let spec = GpuSpec::quadro_fx_5600();
+        let kernels: Vec<KernelCharacteristics> = (0..=SETUP_CACHE_CAP as u64)
+            .map(|k| stencil_chars((1 << 16) + 1000 * k))
+            .collect();
+        for chars in &kernels {
+            assert_matches_oracle(chars, &spec);
+        }
+        // One more distinct kernel than the cache holds: round-robin
+        // replacement has evicted the first one.
+        assert!(!is_cached(&kernels[0], &spec));
+        assert!(is_cached(&kernels[SETUP_CACHE_CAP], &spec));
+        assert_matches_oracle(&kernels[0], &spec);
+        assert!(is_cached(&kernels[0], &spec));
+        // A hit on a surviving entry.
+        assert_matches_oracle(&kernels[SETUP_CACHE_CAP], &spec);
+
+        // Same name, different launch overhead: a distinct cache key, and
+        // each answer is its own spec's.
+        let slow_launch = GpuSpec {
+            launch_overhead: spec.launch_overhead * 3.0,
+            ..spec.clone()
+        };
+        assert_ne!(spec_fingerprint(&spec), spec_fingerprint(&slow_launch));
+        let fast = assert_matches_oracle(&kernels[1], &spec);
+        let slow = assert_matches_oracle(&kernels[1], &slow_launch);
+        assert!(slow.time > fast.time);
     }
 }

@@ -78,19 +78,6 @@ pub(crate) const BASE_REGS: u32 = 10;
 /// reusable loads; unrolling only when there is a serial loop to unroll.
 pub fn candidate_space(chars: &KernelCharacteristics, spec: &GpuSpec) -> Vec<Transformation> {
     let mut out = Vec::new();
-    candidate_space_into(chars, spec, &mut out);
-    out
-}
-
-/// [`candidate_space`] into a caller-owned buffer — the arena'd search
-/// reuses one `Vec` across searches so the steady state allocates
-/// nothing. The buffer is cleared first; capacity is retained.
-pub fn candidate_space_into(
-    chars: &KernelCharacteristics,
-    spec: &GpuSpec,
-    out: &mut Vec<Transformation>,
-) {
-    out.clear();
     let shared_options: &[bool] = if chars.sharable_load_fraction > 0.0 {
         &[false, true]
     } else {
@@ -120,6 +107,7 @@ pub fn candidate_space_into(
             }
         }
     }
+    out
 }
 
 /// The characteristics of a kernel *after* a transformation is applied —
@@ -148,7 +136,7 @@ pub struct SynthesizedKernel {
     pub shared_per_block: u32,
     /// Number of reuse groups staged into shared memory (0 when staging
     /// is off or nothing qualified). Together with [`Self::tile_bytes`]
-    /// this lets the SoA batch projector recompute `shared_per_block`
+    /// this lets the fast search recompute `shared_per_block`
     /// for *other* block sizes without re-synthesizing.
     pub staged_groups: usize,
     /// Widest staged element size, bytes (0 when nothing is staged).
@@ -353,17 +341,8 @@ pub fn program_fingerprint(program: &gpp_skeleton::Program) -> u128 {
 /// (characteristics fingerprint, config). Synthesis is a pure function
 /// of that key, so a hit returns exactly the value a miss would compute
 /// — repeated projections of the same kernels (iteration sweeps, served
-/// what-if streams) skip the synthesis work entirely.
-pub fn synthesize_cached(
-    chars: &KernelCharacteristics,
-    config: Transformation,
-) -> Arc<SynthesizedKernel> {
-    synthesize_cached_keyed(CharsKey::of(chars), chars, config)
-}
-
-/// [`synthesize_cached`] with the characteristics fingerprint already
-/// computed (the hot path: one fingerprint per search, not per
-/// candidate).
+/// what-if streams) skip the synthesis work entirely. `key` is
+/// `CharsKey::of(chars)`, computed once per search by the caller.
 pub fn synthesize_cached_keyed(
     key: CharsKey,
     chars: &KernelCharacteristics,

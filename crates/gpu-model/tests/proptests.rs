@@ -132,9 +132,9 @@ proptest! {
         prop_assert!(t_better <= t_base * 1.001, "{t_better} > {t_base}");
     }
 
-    /// The SoA batch engine selects the bit-identical projection the
-    /// scalar exhaustive search does — streaming and stencil kernels,
-    /// with and without prune/memo, at several thread counts.
+    /// The fast search selects the bit-identical projection the
+    /// exhaustive oracle does — streaming and stencil kernels, at several
+    /// thread counts.
     #[test]
     fn soa_search_is_bit_identical_to_scalar(
         n in (1u64 << 10)..(1 << 22),
@@ -147,23 +147,12 @@ proptest! {
         let stencil = stencil_chars(256, serial_iters);
         for spec in [GpuSpec::quadro_fx_5600(), GpuSpec::tesla_c1060()] {
             for c in [&streaming, &stencil] {
-                let scalar = project_best_with("k", c, &spec, SearchOpts::exhaustive());
-                let reference = format!("{scalar:?}");
+                let oracle = project_best_with("k", c, &spec, SearchOpts::Exhaustive);
+                let reference = format!("{oracle:?}");
                 for threads in [1usize, 2, 8] {
                     gpp_par::set_threads(threads);
-                    for opts in [
-                        SearchOpts::default(),
-                        SearchOpts { prune: false, memo: false, soa: true },
-                    ] {
-                        let soa = project_best_with("k", c, &spec, opts);
-                        prop_assert_eq!(
-                            &format!("{soa:?}"),
-                            &reference,
-                            "threads={} opts={:?}",
-                            threads,
-                            opts
-                        );
-                    }
+                    let fast = project_best_with("k", c, &spec, SearchOpts::Fast);
+                    prop_assert_eq!(&format!("{fast:?}"), &reference, "threads={}", threads);
                 }
                 gpp_par::set_threads(0);
             }

@@ -221,28 +221,6 @@ where
         .collect()
 }
 
-/// Maps `f` over consecutive index *blocks* of `0..n` in parallel and
-/// returns one result per block, in block order. The batch-oriented
-/// sibling of [`par_map`]: work-stealing happens at block granularity,
-/// so a callee that evaluates a whole block in SoA lanes (the
-/// `gpu-model` batch projector) amortizes its per-task overhead over
-/// `block` items instead of one. Block `b` covers
-/// `b*block .. min((b+1)*block, n)`; every index is covered exactly
-/// once. Bit-identical to the serial blocked loop for pure `f`, at any
-/// thread count.
-pub fn par_map_blocks<T, F>(n: usize, block: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>) -> T + Sync,
-{
-    let block = block.max(1);
-    let nblocks = n.div_ceil(block);
-    par_map(nblocks, |b| {
-        let lo = b * block;
-        f(lo..(lo + block).min(n))
-    })
-}
-
 /// The exact serial code path (`GPP_THREADS=1`): a plain in-order loop.
 fn serial_map<T, F: Fn(usize) -> T>(pool: &Pool, n: usize, f: &F) -> Vec<T> {
     pool.busy.fetch_add(1, Ordering::Relaxed);
@@ -291,40 +269,6 @@ mod tests {
         let expect: Vec<usize> = (0..16).map(|i| (0..16).map(|j| i * 16 + j).sum()).collect();
         assert_eq!(out, expect);
         set_threads(0);
-    }
-
-    #[test]
-    fn blocks_cover_the_range_in_order_at_any_thread_count() {
-        for threads in [1, 2, 8] {
-            set_threads(threads);
-            for (n, block) in [(0, 4), (1, 4), (16, 4), (17, 4), (36, 16), (5, 100)] {
-                let ranges = par_map_blocks(n, block, |r| r);
-                let flat: Vec<usize> = ranges.iter().cloned().flatten().collect();
-                assert_eq!(flat, (0..n).collect::<Vec<_>>(), "n={n} block={block}");
-                assert!(ranges.iter().all(|r| r.len() <= block && !r.is_empty()));
-            }
-        }
-        set_threads(0);
-    }
-
-    #[test]
-    fn block_results_match_serial_blocked_loop() {
-        let f = |r: std::ops::Range<usize>| r.map(|i| (i as f64).sqrt()).sum::<f64>();
-        let serial: Vec<f64> = (0..10).map(|b| f(b * 7..((b + 1) * 7).min(70))).collect();
-        for threads in [2, 5] {
-            set_threads(threads);
-            let par = par_map_blocks(70, 7, f);
-            assert!(serial
-                .iter()
-                .zip(&par)
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
-        }
-        set_threads(0);
-    }
-
-    #[test]
-    fn zero_block_size_is_clamped() {
-        assert_eq!(par_map_blocks(3, 0, |r| r.len()), vec![1, 1, 1]);
     }
 
     #[test]

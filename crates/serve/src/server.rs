@@ -321,7 +321,7 @@ const READ_POLL: Duration = Duration::from_millis(50);
 
 /// An [`io::Read`] over a borrowed [`TcpStream`] that enforces a total
 /// deadline: before every read the socket timeout is re-armed to the
-/// remainder of the budget (sliced into [`READ_POLL`] chunks), so N slow
+/// remainder of the budget (sliced into `READ_POLL` chunks), so N slow
 /// reads cannot stretch the wait to N × the per-read timeout — the
 /// slow-loris pattern a fixed `set_read_timeout` allows. Between slices
 /// the shutdown flag is checked; a shutdown surfaces as EOF, which the

@@ -11,14 +11,13 @@
 use crate::expr::IndexExpr;
 use crate::ir::{Kernel, Program};
 use gpp_brs::{AccessKind, ArrayId};
-use serde::{Deserialize, Serialize};
 
 /// How a memory reference maps onto consecutive GPU threads.
 ///
 /// Classification follows G80 coalescing rules at half-warp granularity:
 /// consecutive threads touching consecutive elements coalesce into one
 /// memory transaction; anything else fragments into per-thread transactions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoalesceClass {
     /// Consecutive threads → consecutive elements (linear coefficient ±1 on
     /// the thread axis). One transaction per half-warp.
@@ -58,7 +57,7 @@ impl std::fmt::Display for CoalesceClass {
 }
 
 /// One memory access stream of a kernel, summarized per thread.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemAccessChar {
     /// The referenced array.
     pub array: ArrayId,
@@ -93,7 +92,7 @@ impl MemAccessChar {
 }
 
 /// The synthesized performance characteristics of one kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelCharacteristics {
     /// Kernel name.
     pub name: String,

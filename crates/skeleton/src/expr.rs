@@ -1,9 +1,7 @@
 //! Affine index expressions over loop variables.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a loop within a kernel's loop nest (outermost = 0).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LoopId(pub u32);
 
 impl LoopId {
@@ -19,7 +17,7 @@ impl LoopId {
 /// This is the index language of bounded regular section analysis: affine
 /// indices over loops with known trip counts yield regular sections with
 /// computable bounds and strides.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct AffineExpr {
     /// `(loop, coefficient)` pairs; at most one entry per loop, coefficients
     /// never zero (normalized by the constructors).
@@ -194,7 +192,7 @@ impl std::fmt::Display for AffineExpr {
 }
 
 /// An array index expression: affine, or data-dependent (irregular).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum IndexExpr {
     /// A statically analyzable affine index.
     Affine(AffineExpr),

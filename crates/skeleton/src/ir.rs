@@ -2,10 +2,9 @@
 
 use crate::expr::{IndexExpr, LoopId};
 use gpp_brs::{AccessKind, ArrayId};
-use serde::{Deserialize, Serialize};
 
 /// Element types of modeled arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ElemType {
     /// 32-bit float.
     F32,
@@ -38,7 +37,7 @@ impl ElemType {
 }
 
 /// Declaration of an array referenced by kernels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrayDecl {
     /// Identity within the program.
     pub id: ArrayId,
@@ -77,7 +76,7 @@ impl ArrayDecl {
 }
 
 /// One loop of a kernel's nest, outermost first.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Loop {
     /// Name for diagnostics (`i`, `j`, ...).
     pub name: String,
@@ -92,7 +91,7 @@ pub struct Loop {
 /// Weighted according to G80-era instruction throughput when converted to
 /// compute cycles: adds/muls are single-issue, divides and special functions
 /// (sqrt, exp, pow) run on the SFU at a fraction of the rate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Flops {
     /// Additions / subtractions.
     pub adds: u32,
@@ -137,7 +136,7 @@ impl Flops {
 }
 
 /// One array reference within a statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrayRef {
     /// Which array.
     pub array: ArrayId,
@@ -156,7 +155,7 @@ impl ArrayRef {
 
 /// A statement: a bundle of array references plus arithmetic, executed once
 /// per point of the surrounding loop nest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Statement {
     /// Array references (reads and writes).
     pub refs: Vec<ArrayRef>,
@@ -173,7 +172,7 @@ pub struct Statement {
 ///
 /// Kernels are the unit of GPU offload; a [`Program`] is a sequence of
 /// kernels with dataflow between them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
     /// Kernel name (for reports).
     pub name: String,
@@ -278,7 +277,7 @@ impl Kernel {
 /// Kept in the skeleton crate (rather than reusing the analyzer's
 /// direction type) so the IR stays dependency-free; `gpp-datausage` maps
 /// between the two.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransferKind {
     /// Host → device upload (`h2d`).
     HostToDevice,
@@ -293,7 +292,7 @@ pub enum TransferKind {
 /// its schedule out with `h2d`/`d2h` directives is priced *as written*,
 /// which is what lets `gpp lint`'s whole-program passes find cross-kernel
 /// transfer waste and quantify the headroom of fixing it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransferDecl {
     /// The array moved (whole allocation).
     pub array: ArrayId,
@@ -325,7 +324,7 @@ impl TransferDecl {
 
 /// A whole modeled application region: arrays plus an ordered sequence of
 /// kernels (the part of the CPU code being considered for GPU offload).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// Application/region name.
     pub name: String,
