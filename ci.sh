@@ -71,11 +71,14 @@ echo "== perf-regression gate (min-of-N vs committed BENCH_*.json)"
 # regression against the committed baselines. Both harnesses report
 # min-of-N, so a single noisy round cannot trip the gate — only a
 # consistent slowdown across every round does.
+# The committed baselines were taken at one thread and perfgate refuses a
+# fresh run at another thread count, so both benches run under
+# GPP_THREADS=1 whatever the machine's core count.
 PERF_TMP=$(mktemp -d)
 trap 'rm -rf "$PERF_TMP"' EXIT
-GPP_BENCH_OUT="$PERF_TMP/project.json" \
+GPP_THREADS=1 GPP_BENCH_OUT="$PERF_TMP/project.json" \
     cargo bench $CARGO_FLAGS -p gpp-bench --bench project_throughput >/dev/null
-GPP_BENCH_OUT="$PERF_TMP/serve.json" \
+GPP_THREADS=1 GPP_BENCH_OUT="$PERF_TMP/serve.json" \
     cargo bench $CARGO_FLAGS -p gpp-bench --bench serve_throughput >/dev/null
 cargo build $CARGO_FLAGS --release -p gpp-bench --bin perfgate
 target/release/perfgate BENCH_project.json "$PERF_TMP/project.json" --max-regress 0.25

@@ -7,8 +7,7 @@
 //!   * `hot`       — primed service, repeated query: both caches hit,
 //!     the steady state of a serve deployment;
 //!   * `hot_batch` — primed service, `batch` frames of many sub-requests
-//!     each: the wire path that fans out through `gpp_par` into the fast
-//!     kernel search. Its `req_per_s` counts sub-requests; its latency
+//!     each: the batch wire path into the fast kernel search. Its `req_per_s` counts sub-requests; its latency
 //!     percentiles are per *frame*.
 //!
 //! Methodology (see README § Performance): every tier runs `ROUNDS`

@@ -22,6 +22,12 @@
 //! hides. New arms in the fresh file are reported but not gated (they
 //! have no baseline yet).
 //!
+//! Only like is compared with like: both files record the `threads` the
+//! harness ran at, and a fresh run at a different thread count than the
+//! baseline's is fatal (numbers taken at 2 threads against a 1-thread
+//! baseline measure the machine, not the change). Run the harnesses
+//! under `GPP_THREADS=<baseline threads>`.
+//!
 //! The JSON reader below is deliberately minimal — just enough for the
 //! bench harnesses' own renderer output — so the gate stays dependency-
 //! free and usable from `ci.sh` without touching the network.
@@ -260,6 +266,21 @@ fn rows<'a>(doc: &'a Val, key: &str) -> Result<&'a [Val], String> {
 }
 
 fn gate(committed: &Val, fresh: &Val, max_regress: f64) -> Result<(), String> {
+    let (base_threads, fresh_threads) = (committed.get("threads"), fresh.get("threads"));
+    if base_threads != fresh_threads {
+        let show = |v: Option<&Val>| match v {
+            Some(Val::Num(n)) => n.to_string(),
+            Some(other) => format!("{other:?}"),
+            None => "missing".to_string(),
+        };
+        return Err(format!(
+            "thread count mismatch: committed threads={} but fresh threads={} — \
+             re-run the bench with GPP_THREADS={}",
+            show(base_threads),
+            show(fresh_threads),
+            show(base_threads),
+        ));
+    }
     let schema = schema_of(committed)?;
     let baseline = rows(committed, schema.rows_key)?;
     let measured = rows(fresh, schema.rows_key)?;
@@ -356,5 +377,56 @@ fn main() -> ExitCode {
             eprintln!("perfgate: {message}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn project_doc(threads: u32, arms: &[(&str, f64)]) -> Val {
+        let arms: Vec<String> = arms
+            .iter()
+            .map(|(name, min_s)| format!(r#"{{"name":"{name}","min_s":{min_s}}}"#))
+            .collect();
+        parse(&format!(
+            r#"{{"bench":"project_throughput","threads":{threads},"arms":[{}]}}"#,
+            arms.join(",")
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn thread_count_mismatch_fails_naming_both_values() {
+        let committed = project_doc(1, &[("overlap", 1.0e-6)]);
+        let fresh = project_doc(2, &[("overlap", 1.0e-6)]);
+        let err = gate(&committed, &fresh, 0.25).unwrap_err();
+        assert!(
+            err.contains("threads=1") && err.contains("threads=2"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn missing_arm_fails() {
+        let committed = project_doc(1, &[("overlap", 1.0e-6), ("soa_prune", 1.0e-6)]);
+        let fresh = project_doc(1, &[("overlap", 1.0e-6)]);
+        let err = gate(&committed, &fresh, 0.25).unwrap_err();
+        assert!(
+            err.contains("soa_prune") && err.contains("missing"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn same_config_within_threshold_passes() {
+        let committed = project_doc(1, &[("overlap", 1.0e-6), ("soa_prune", 2.0e-6)]);
+        let fresh = project_doc(1, &[("overlap", 1.2e-6), ("soa_prune", 1.5e-6)]);
+        assert_eq!(gate(&committed, &fresh, 0.25), Ok(()));
+        let slower = project_doc(1, &[("overlap", 1.3e-6), ("soa_prune", 2.0e-6)]);
+        assert!(
+            gate(&committed, &slower, 0.25).is_err(),
+            "30% slower must fail"
+        );
     }
 }

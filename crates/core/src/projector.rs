@@ -231,11 +231,15 @@ impl Grophecy {
     /// and the determinism suite hold the fast search to the exhaustive
     /// oracle).
     ///
-    /// The kernel × axis × transformation search is flattened into one
-    /// task list and distributed over the `gpp-par` global pool; results
-    /// land in pre-sized index slots and every reduction below is serial
-    /// in program order, so the projection is bit-identical to the serial
-    /// path (`GPP_THREADS=1`) at any thread count.
+    /// The kernel × axis search is flattened into one task list and run
+    /// serially, in task order, on the calling thread. One projection is
+    /// a handful of microsecond-scale searches, too little to pay for
+    /// spawning scoped threads — and a search on a fresh helper thread
+    /// would also start from a cold per-thread setup cache. Concurrency
+    /// comes from serving many projections at once instead. Only the
+    /// `Exhaustive` oracle fans out, over its candidate space, and its
+    /// results are index-ordered, so the projection is bit-identical at
+    /// any `GPP_THREADS` setting.
     pub fn project_with(
         &self,
         program: &Program,
@@ -254,17 +258,19 @@ impl Grophecy {
                     .map(move |(ai, axis)| (ki, ai, axis))
             })
             .collect();
-        let searched: Vec<KernelProjection> = gpp_par::par_map(tasks.len(), |t| {
-            let (ki, ai, axis) = tasks[t];
-            let k = &program.kernels[ki];
-            let chars = k.characteristics_with_axis(program, axis);
-            let mut proj = project_best_with(&k.name, &chars, &self.spec, opts);
-            // Record non-default axis choices so the lowering (and
-            // reports) reproduce the same mapping. Index 0 is the
-            // innermost parallel loop — the default.
-            proj.config.thread_axis = (ai > 0).then_some(axis);
-            proj
-        });
+        let searched: Vec<KernelProjection> = tasks
+            .iter()
+            .map(|&(ki, ai, axis)| {
+                let k = &program.kernels[ki];
+                let chars = k.characteristics_with_axis(program, axis);
+                let mut proj = project_best_with(&k.name, &chars, &self.spec, opts);
+                // Record non-default axis choices so the lowering (and
+                // reports) reproduce the same mapping. Index 0 is the
+                // innermost parallel loop — the default.
+                proj.config.thread_axis = (ai > 0).then_some(axis);
+                proj
+            })
+            .collect();
 
         // Serial reduction, kernel by kernel in axis-candidate order:
         // strict `<` keeps the earliest axis on ties, exactly like the

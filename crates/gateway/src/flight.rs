@@ -8,9 +8,8 @@
 //! indistinguishable from forwarding each request — except the shard does
 //! the expensive work once.
 
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// One in-flight request: the slot followers wait on.
@@ -44,13 +43,20 @@ pub struct LeaderGuard {
 impl LeaderGuard {
     /// Publishes the reply to every waiting follower.
     pub fn complete(mut self, reply: &str) {
-        *self.flight.reply.lock() = Some(reply.to_string());
+        *self
+            .flight
+            .reply
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(reply.to_string());
         self.completed = true;
         self.finish();
     }
 
     fn finish(&mut self) {
-        self.map.lock().remove(&self.key);
+        self.map
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.key);
         self.flight.done.notify_all();
     }
 }
@@ -94,7 +100,7 @@ impl SingleFlight {
     /// on its own clock.
     pub fn join_with_budget(&self, key: u128, wait_budget: Duration) -> Joined {
         let flight = {
-            let mut map = self.map.lock();
+            let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
             match map.get(&key) {
                 Some(flight) => flight.clone(),
                 None => {
@@ -112,18 +118,28 @@ impl SingleFlight {
                 }
             }
         };
-        let mut reply = flight.reply.lock();
+        let mut reply = flight.reply.lock().unwrap_or_else(PoisonError::into_inner);
         let mut waited = Duration::ZERO;
         const SLICE: Duration = Duration::from_millis(50);
         while reply.is_none() && waited < wait_budget {
             // A timed slice (not a bare wait) so a stuck leader can never
             // strand followers past their budget even if the wake is lost.
-            flight.done.wait_for(&mut reply, SLICE);
+            reply = flight
+                .done
+                .wait_timeout(reply, SLICE)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
             waited += SLICE;
             // The leader removing the key from the map (guard finish)
             // happens before notify; a None reply after that means it
             // abandoned rather than still flying.
-            if reply.is_none() && !self.map.lock().contains_key(&key) {
+            if reply.is_none()
+                && !self
+                    .map
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .contains_key(&key)
+            {
                 break;
             }
         }
@@ -135,7 +151,10 @@ impl SingleFlight {
 
     /// Flights currently in the air (for stats).
     pub fn in_flight(&self) -> usize {
-        self.map.lock().len()
+        self.map
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 }
 

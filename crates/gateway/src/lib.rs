@@ -54,6 +54,7 @@ pub mod ring;
 use flight::{Joined, SingleFlight};
 use gpp_fault::fnv1a;
 use gpp_fault::FaultInjector;
+use gpp_serve::accept::{self, Accepted, Frontend, Queue};
 use gpp_serve::client::RetryBudget;
 use gpp_serve::protocol::{
     batch_response, read_frame_limited, split_batch_response, write_frame, Command, FrameError,
@@ -711,7 +712,7 @@ fn structural_fingerprint(req: &Request, payload: &str) -> u128 {
     u128::from(fnv1a(payload.as_bytes()))
 }
 
-/// How often idle loops re-check the shutdown flag.
+/// How often the prober re-checks the shutdown flag.
 const POLL: Duration = Duration::from_millis(10);
 
 /// A bound, ready-to-run gateway.
@@ -756,64 +757,29 @@ impl Gateway {
             listener,
             shutdown,
         } = self;
-        listener.set_nonblocking(true)?;
-        let workers = state.config.workers.max(1);
-        let (tx, rx) = crossbeam::channel::bounded::<TcpStream>(state.config.queue_depth.max(1));
-
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             // Background prober: evicts dead shards, re-admits recovered
-            // ones. Exits with the shutdown flag.
-            {
-                let state = state.clone();
-                let shutdown = shutdown.clone();
-                scope.spawn(move |_| {
-                    while !shutdown.load(Ordering::SeqCst) {
-                        state.pool.probe_due(
-                            state.config.probe_interval,
-                            state.config.probe_backoff,
-                            state.config.request_timeout.min(Duration::from_secs(2)),
-                            &state.config.faults,
-                        );
-                        std::thread::sleep(POLL);
-                    }
-                });
-            }
-            for _ in 0..workers {
-                let rx = rx.clone();
-                let state = state.clone();
-                let shutdown = shutdown.clone();
-                scope.spawn(move |_| {
-                    while let Ok(stream) = rx.recv() {
-                        let _ = serve_connection(stream, &state, &shutdown);
-                    }
-                });
-            }
-            loop {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
+            // ones. The accept loop sets the shutdown flag when it stops
+            // (a signal included), which ends the prober too.
+            scope.spawn(|| {
+                while !shutdown.load(Ordering::SeqCst) {
+                    state.pool.probe_due(
+                        state.config.probe_interval,
+                        state.config.probe_backoff,
+                        state.config.request_timeout.min(Duration::from_secs(2)),
+                        &state.config.faults,
+                    );
+                    std::thread::sleep(POLL);
                 }
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        if let Err(crossbeam::channel::TrySendError::Full(stream)) =
-                            tx.try_send(stream)
-                        {
-                            state.note_busy();
-                            let mut stream = stream;
-                            let _ = write_frame(&mut stream, &busy_response());
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        eprintln!("gpp-gateway: accept failed: {e}");
-                        std::thread::sleep(POLL);
-                    }
-                }
-            }
-            drop(tx);
+            });
+            accept::run(
+                &listener,
+                &shutdown,
+                state.config.workers,
+                state.config.queue_depth,
+                &*state,
+            )
         })
-        .expect("gpp-gateway worker panicked");
-        Ok(())
     }
 
     /// Runs the gateway on a background thread; returns a handle with the
@@ -860,6 +826,26 @@ impl GatewayHandle {
             Ok(r) => r,
             Err(_) => Err(io::Error::other("gpp-gateway thread panicked")),
         }
+    }
+}
+
+impl Frontend for GatewayState {
+    const NAME: &'static str = "gpp-gateway";
+
+    fn serve_connection(
+        &self,
+        stream: TcpStream,
+        _queued: Duration,
+        _queue: &Queue<Accepted>,
+        shutdown: &AtomicBool,
+    ) {
+        let _ = serve_connection(stream, self, shutdown);
+    }
+
+    /// A full queue answers the newest arrival with a plain `busy`.
+    fn queue_full(&self, (mut stream, _): Accepted, _queue: &Queue<Accepted>) {
+        self.note_busy();
+        let _ = write_frame(&mut stream, &busy_response());
     }
 }
 

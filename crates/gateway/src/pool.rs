@@ -26,10 +26,9 @@
 use crate::ring::HashRing;
 use gpp_fault::FaultInjector;
 use gpp_serve::client::{backoff_delay, jitter_seed, Client};
-use parking_lot::Mutex;
 use std::io;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Backoff exponent cap for unhealthy-shard re-probes: failures beyond
@@ -99,6 +98,14 @@ pub struct Shard {
 }
 
 impl Shard {
+    /// When the prober next looks at this shard. Poison is ignored: an
+    /// `Instant` cannot be left half-written.
+    fn next_probe(&self) -> MutexGuard<'_, Instant> {
+        self.next_probe
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn new(label: String, addr: String) -> Shard {
         Shard {
             label,
@@ -140,7 +147,7 @@ impl Shard {
             .fetch_add(1, Ordering::SeqCst)
             .saturating_add(1)
             .min(MAX_BACKOFF_EXP);
-        *self.next_probe.lock() = Instant::now()
+        *self.next_probe() = Instant::now()
             + backoff_delay(probe_backoff, failures, jitter_seed(self.label.as_bytes()));
     }
 
@@ -151,14 +158,17 @@ impl Shard {
             self.readmissions.fetch_add(1, Ordering::SeqCst);
         }
         self.consecutive_failures.store(0, Ordering::SeqCst);
-        *self.next_probe.lock() = Instant::now() + probe_interval;
+        *self.next_probe() = Instant::now() + probe_interval;
     }
 
     /// Adds one successful forward's latency to the rolling window.
     pub fn record_latency(&self, elapsed: Duration) {
         let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
         let pos = self.latency_pos.fetch_add(1, Ordering::Relaxed) as usize % LATENCY_WINDOW;
-        let mut window = self.latencies_us.lock();
+        let mut window = self
+            .latencies_us
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if window.len() < LATENCY_WINDOW {
             window.push(us);
         } else {
@@ -170,7 +180,10 @@ impl Shard {
     /// [`MIN_LATENCY_SAMPLES`] — the hedging trigger stays conservative
     /// while the shard is cold.
     pub fn p99_us(&self) -> Option<u64> {
-        let window = self.latencies_us.lock();
+        let window = self
+            .latencies_us
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if window.len() < MIN_LATENCY_SAMPLES {
             return None;
         }
@@ -288,7 +301,7 @@ impl ShardPool {
         faults: &FaultInjector,
     ) {
         for shard in &self.shards {
-            if Instant::now() < *shard.next_probe.lock() {
+            if Instant::now() < *shard.next_probe() {
                 continue;
             }
             // An open breaker whose cooldown just expired gets exactly one
@@ -330,11 +343,11 @@ mod tests {
         let shard = Shard::new("shard0".into(), "127.0.0.1:1".into());
         let base = Duration::from_millis(8);
         shard.mark_failed(base);
-        let first = *shard.next_probe.lock() - Instant::now();
+        let first = *shard.next_probe() - Instant::now();
         for _ in 0..3 {
             shard.mark_failed(base);
         }
-        let later = *shard.next_probe.lock() - Instant::now();
+        let later = *shard.next_probe() - Instant::now();
         assert!(later > first, "{later:?} vs {first:?}");
     }
 

@@ -1,10 +1,12 @@
 //! Deterministic data parallelism for the projection engine.
 //!
-//! Everything CPU-bound in GROPHECY++ — the kernel × axis × transformation
-//! search, the evaluation sweeps, intra-request work in `gpp-serve` — runs
+//! The CPU-bound batch work in GROPHECY++ — the evaluation sweeps, the
+//! `repro` experiment fan-out and the exhaustive search oracle — runs
 //! through [`par_map`]: a work-stealing map over an index range built on
 //! `std::thread::scope` workers pulling index-chunked tasks from an atomic
-//! cursor. No external crates, no unsafe, no persistent threads.
+//! cursor. No external crates, no unsafe, no persistent threads. A single
+//! projection is serial (see `Grophecy::project_with`): its task list is
+//! too small to pay for spawning scoped threads.
 //!
 //! # Determinism
 //!
@@ -31,6 +33,13 @@
 //!   never oversubscribes the machine no matter how work nests;
 //! * the calling thread always participates, so a region that gets zero
 //!   tokens degrades to the serial path instead of deadlocking.
+//!
+//! # Fixed-width chunk loops
+//!
+//! [`par_chunks`] is the other entry point: the evaluation workloads'
+//! reference CPU implementations, which stand in for the paper's 8-thread
+//! OpenMP loops. It runs a fixed thread count the caller names and does
+//! not draw tokens from the global pool.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -221,6 +230,38 @@ where
         .collect()
 }
 
+/// Applies `f(start_index, chunk)` to disjoint runs of whole
+/// `chunk_len`-element chunks of `out`, on `threads` scoped threads. `f`
+/// receives the global start index of its run so it can locate itself in
+/// the input arrays; each thread owns a disjoint `&mut` run, so no locks
+/// are needed.
+///
+/// The thread count is fixed by the caller — this is the stand-in for an
+/// OpenMP `parallel for` at a set width (the workloads use the paper's 8
+/// threads) — so unlike [`par_map`] it neither reads `GPP_THREADS` nor
+/// draws tokens from the global pool.
+pub fn par_chunks<T: Send, F>(out: &mut [T], threads: usize, chunk_len: usize, f: F)
+where
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    assert!(chunk_len > 0, "chunk_len must be positive");
+    if out.is_empty() {
+        return;
+    }
+    let threads = threads.max(1);
+    if threads == 1 || out.len() <= chunk_len {
+        f(0, out);
+        return;
+    }
+    let per_thread = out.len().div_ceil(chunk_len).div_ceil(threads) * chunk_len;
+    std::thread::scope(|scope| {
+        let f = &f;
+        for (i, run) in out.chunks_mut(per_thread).enumerate() {
+            scope.spawn(move || f(i * per_thread, run));
+        }
+    });
+}
+
 /// The exact serial code path (`GPP_THREADS=1`): a plain in-order loop.
 fn serial_map<T, F: Fn(usize) -> T>(pool: &Pool, n: usize, f: &F) -> Vec<T> {
     pool.busy.fetch_add(1, Ordering::Relaxed);
@@ -292,5 +333,39 @@ mod tests {
             let c = chunk_size(n, w);
             assert!((1..=64).contains(&c));
         }
+    }
+
+    #[test]
+    fn par_chunks_matches_sequential() {
+        let n = 10_007; // deliberately not a multiple of anything
+        let input: Vec<u64> = (0..n as u64).collect();
+        let seq: Vec<u64> = input.iter().map(|v| v * 3 + 1).collect();
+        let mut par = vec![0u64; n];
+        par_chunks(&mut par, 8, 64, |start, chunk| {
+            for (k, v) in chunk.iter_mut().enumerate() {
+                *v = input[start + k] * 3 + 1;
+            }
+        });
+        assert_eq!(seq, par);
+    }
+
+    #[test]
+    fn par_chunks_single_thread_and_empty_paths() {
+        let mut out = vec![0u8; 10];
+        par_chunks(&mut out, 1, 4, |s, c| {
+            for (k, v) in c.iter_mut().enumerate() {
+                *v = (s + k) as u8;
+            }
+        });
+        assert_eq!(out, (0..10u8).collect::<Vec<_>>());
+        let mut empty: Vec<u8> = vec![];
+        par_chunks(&mut empty, 4, 4, |_, _| panic!("must not be called"));
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk_len")]
+    fn par_chunks_zero_chunk_panics() {
+        let mut out = vec![0u8; 4];
+        par_chunks(&mut out, 2, 0, |_, _| {});
     }
 }

@@ -10,8 +10,8 @@
 use crate::model::{DirectionalModel, LinearModel};
 use crate::params::{Direction, MemType};
 use crate::Bus;
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Configuration of the calibration benchmark. The defaults are the
 /// paper's choices; the footnote notes 512 MB "is chosen rather
@@ -450,13 +450,13 @@ impl<B: Bus> CalibratedBus<B> {
     /// The calibrated model for a memory type, measuring it on first
     /// request.
     pub fn model(&self, mem: MemType) -> DirectionalModel {
-        if let Some(m) = self.cache.lock().get(&MemTypeKey(mem)) {
+        if let Some(m) = self.cache().get(&MemTypeKey(mem)) {
             return *m;
         }
         let mut cal = self.calibrator.clone();
         cal.mem = mem;
-        let model = cal.calibrate(&mut *self.bus.lock());
-        self.cache.lock().insert(MemTypeKey(mem), model);
+        let model = cal.calibrate(&mut *self.bus());
+        self.cache().insert(MemTypeKey(mem), model);
         model
     }
 
@@ -465,9 +465,15 @@ impl<B: Bus> CalibratedBus<B> {
         self.model(mem).predict(bytes, dir)
     }
 
-    /// Access the underlying bus (e.g. to take "real" measurements).
-    pub fn bus(&self) -> parking_lot::MutexGuard<'_, B> {
-        self.bus.lock()
+    /// Access the underlying bus (e.g. to take "real" measurements). A
+    /// holder that panicked does not wedge the bus: the lock's poison flag
+    /// is ignored, because a bus is valid between any two transfers.
+    pub fn bus(&self) -> MutexGuard<'_, B> {
+        self.bus.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn cache(&self) -> MutexGuard<'_, HashMap<MemTypeKey, DirectionalModel>> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -522,6 +528,25 @@ mod tests {
         assert_eq!(m1.h2d, m2.h2d);
         assert!(mid > before, "first call measures");
         assert_eq!(mid, after, "second call cached");
+    }
+
+    #[test]
+    fn panicking_bus_holder_does_not_wedge_the_bus() {
+        let bus = BusSimulator::new(BusParams::pcie_v1_x16().quiet(), 5);
+        let cb = CalibratedBus::new(bus, Calibrator::default());
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _bus = cb.bus();
+                panic!("holder dies with the bus locked");
+            })
+            .join()
+        });
+        assert!(holder.is_err(), "the holder must have panicked");
+        assert!(cb.bus.is_poisoned());
+        let before = cb.bus().transfer_count();
+        let m = cb.model(MemType::Pinned);
+        assert!(cb.bus().transfer_count() > before, "calibration measured");
+        assert_eq!(m.h2d, cb.model(MemType::Pinned).h2d);
     }
 
     #[test]

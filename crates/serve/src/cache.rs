@@ -10,13 +10,13 @@
 //!   by (machine, seed, skeleton content hash, hints). Projection results
 //!   are deterministic for a key, so a hit is always exact.
 //!
-//! Both are guarded by `parking_lot::RwLock` and shared across the worker
-//! pool via `Arc`.
+//! Both are guarded by `std::sync::RwLock` and shared across the worker
+//! pool via `Arc`. A panicking holder cannot wedge either: every lock
+//! site ignores the poison flag, as each write leaves the maps whole.
 
 use grophecy::projector::{AppProjection, Grophecy};
-use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// FNV-1a content hash used for skeleton texts and hint fingerprints.
 pub use gpp_fault::fnv1a;
@@ -62,7 +62,11 @@ impl CalibrationCache {
 
     /// Looks up a cached calibration.
     pub fn get(&self, key: &CalibKey) -> Option<Arc<Grophecy>> {
-        self.map.read().get(key).cloned()
+        self.map
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(key)
+            .cloned()
     }
 
     /// Caches a successful calibration and records it as the machine's
@@ -70,20 +74,31 @@ impl CalibrationCache {
     pub fn insert(&self, key: CalibKey, gro: Arc<Grophecy>) {
         self.last_good
             .write()
+            .unwrap_or_else(PoisonError::into_inner)
             .insert(key.machine.clone(), gro.clone());
-        self.map.write().insert(key, gro);
+        self.map
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key, gro);
     }
 
     /// The most recent successful calibration for a machine (any seed) —
     /// what degraded mode serves, flagged stale, when fresh calibration
     /// keeps failing.
     pub fn last_good(&self, machine: &str) -> Option<Arc<Grophecy>> {
-        self.last_good.read().get(machine).cloned()
+        self.last_good
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(machine)
+            .cloned()
     }
 
     /// Number of cached calibrations.
     pub fn len(&self) -> usize {
-        self.map.read().len()
+        self.map
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Whether no calibration is cached yet.
@@ -138,7 +153,7 @@ impl ProjectionCache {
 
     /// Looks up a projection, refreshing its recency on hit.
     pub fn get(&self, key: &ProjectionKey) -> Option<Arc<AppProjection>> {
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         inner.clock += 1;
         let clock = inner.clock;
         inner.map.get_mut(key).map(|(stamp, v)| {
@@ -150,7 +165,7 @@ impl ProjectionCache {
     /// Inserts a projection, evicting the least-recently-used entry when
     /// at capacity.
     pub fn insert(&self, key: ProjectionKey, value: Arc<AppProjection>) {
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         inner.clock += 1;
         let clock = inner.clock;
         if inner.map.len() >= self.capacity && !inner.map.contains_key(&key) {
@@ -168,13 +183,24 @@ impl ProjectionCache {
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.inner.read().map.len()
+        self.inner
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .map
+            .len()
     }
 
     /// A snapshot of the memo's keys, sorted for stable presentation —
     /// what the `stats` reply renders as its `projection_memo` rows.
     pub fn keys(&self) -> Vec<ProjectionKey> {
-        let mut keys: Vec<ProjectionKey> = self.inner.read().map.keys().cloned().collect();
+        let mut keys: Vec<ProjectionKey> = self
+            .inner
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .map
+            .keys()
+            .cloned()
+            .collect();
         keys.sort_by(|a, b| {
             (
                 &a.machine,

@@ -10,8 +10,9 @@
 //!   (machine, seed), not once per request;
 //! * **projection memo** — an LRU keyed by (machine, seed, normalized
 //!   skeleton content hash, hints) makes repeated what-if queries O(hash);
-//! * **bounded queue + worker pool** — overload produces an immediate,
-//!   structured `busy` error instead of unbounded queueing;
+//! * **bounded queue + worker pool** ([`accept`], the loop `gpp-gateway`
+//!   runs too) — overload produces an immediate, structured `shed` or
+//!   `busy` error instead of unbounded queueing;
 //! * **metrics** — a `stats` command reports counters, cache hit rates,
 //!   queue depth and p50/p99 latency;
 //! * **graceful shutdown** — SIGINT/SIGTERM (or a programmatic flag)
@@ -19,6 +20,7 @@
 //!
 //! See `README.md` ("The projection service") for the wire protocol.
 
+pub mod accept;
 pub mod cache;
 pub mod client;
 pub mod metrics;

@@ -1,8 +1,8 @@
 //! Service counters and latency tracking for the `stats` command.
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How many recent request latencies the percentile window keeps.
@@ -178,7 +178,10 @@ impl Metrics {
     pub fn record_latency(&self, queued: Duration, compute: Duration) {
         let us = |d: Duration| d.as_micros().min(u64::MAX as u128) as u64;
         let sample = (us(queued), us(compute));
-        let mut ring = self.latencies_us.lock();
+        let mut ring = self
+            .latencies_us
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if ring.buf.len() < LATENCY_WINDOW {
             ring.buf.push(sample);
         } else {
@@ -199,7 +202,10 @@ impl Metrics {
         faults_injected: u64,
     ) -> StatsSnapshot {
         let (total, queued, compute) = {
-            let ring = self.latencies_us.lock();
+            let ring = self
+                .latencies_us
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             (
                 percentiles(ring.buf.iter().map(|&(q, c)| q + c)),
                 percentiles(ring.buf.iter().map(|&(q, _)| q)),
@@ -238,6 +244,7 @@ impl Metrics {
             machines: self
                 .per_machine
                 .lock()
+                .unwrap_or_else(PoisonError::into_inner)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect(),
@@ -255,13 +262,19 @@ impl Metrics {
     /// it is shed instead of computed (a cold window of 0 sheds only
     /// requests whose budget is already gone).
     pub fn compute_p50_us(&self) -> u64 {
-        let ring = self.latencies_us.lock();
+        let ring = self
+            .latencies_us
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         percentiles(ring.buf.iter().map(|&(_, c)| c)).0
     }
 
     /// Updates the named machine's counter row.
     pub fn bump_machine(&self, machine: &str, f: impl FnOnce(&mut MachineCounters)) {
-        let mut map = self.per_machine.lock();
+        let mut map = self
+            .per_machine
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         f(map.entry(machine.to_string()).or_default());
     }
 }

@@ -1,39 +1,24 @@
-//! The TCP front-end: accept loop, bounded queue, worker pool, shutdown.
-//!
-//! Architecture (no async runtime — sanctioned crates only):
-//!
-//! ```text
-//!              accept loop (non-blocking + poll)
-//!                   │ try_send
-//!                   ▼
-//!        crossbeam bounded channel  ──full──► immediate `busy` reply
-//!                   │ recv
-//!        ┌──────────┼──────────┐
-//!        ▼          ▼          ▼
-//!     worker 0   worker 1   worker N      (crossbeam scoped threads)
-//!        └── ServiceState::handle ──► length-prefixed JSON reply
-//! ```
+//! The TCP front-end of one shard: binding, the [`Frontend`] that plugs
+//! the request handler into the shared [`accept`] loop, and the shard's
+//! queue-full policy (shed the oldest queued connection, then `busy`).
 //!
 //! Shutdown: a shared `AtomicBool` (set programmatically or by the
-//! SIGINT/SIGTERM handler) stops the accept loop; dropping the sender
-//! lets each worker drain the queue and finish in-flight requests before
-//! the pool joins — no request that was accepted is abandoned.
+//! SIGINT/SIGTERM handler) stops the accept loop; the workers drain the
+//! queue and finish in-flight requests before [`Server::run`] returns —
+//! no request that was accepted is abandoned.
 
+use crate::accept::{self, Accepted, Frontend, Queue};
 use crate::metrics::Metrics;
 use crate::protocol::{read_frame_limited, write_frame, FrameError, ProtocolError};
 use crate::service::{
     busy_response_with_hint, error_json, shed_queue_response, ServeConfig, ServiceState,
 };
-use crossbeam::channel::{bounded, Receiver, TrySendError};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How often the accept loop re-checks the shutdown flag while idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// A bound, ready-to-run server.
 pub struct Server {
@@ -71,88 +56,14 @@ impl Server {
     /// Runs until the shutdown flag is set (blocking). Returns once every
     /// queued and in-flight request has been answered.
     pub fn run(self) -> io::Result<()> {
-        let Server {
-            state,
-            listener,
-            shutdown,
-        } = self;
-        listener.set_nonblocking(true)?;
-        let workers = state.config.workers.max(1);
-        // Each queue entry carries its enqueue instant so the worker can
-        // attribute the accept-queue wait separately from compute time.
-        let (tx, rx) = bounded::<(TcpStream, Instant)>(state.config.queue_depth.max(1));
-
-        crossbeam::thread::scope(|scope| {
-            for w in 0..workers {
-                let rx: Receiver<(TcpStream, Instant)> = rx.clone();
-                let state = state.clone();
-                let shutdown = shutdown.clone();
-                // The respawn loop: per-request panics are already isolated
-                // inside serve_connection; should anything else unwind, the
-                // logical worker restarts on the same OS thread instead of
-                // shrinking the pool (and instead of poisoning the scope
-                // join, which would take the whole server down).
-                scope.spawn(move |_| loop {
-                    match catch_unwind(AssertUnwindSafe(|| worker_loop(w, &rx, &state, &shutdown)))
-                    {
-                        Ok(()) => break, // channel disconnected: clean drain
-                        Err(_) => {
-                            Metrics::bump(&state.metrics.worker_respawns);
-                            eprintln!("gpp-serve: worker {w} died; respawning");
-                        }
-                    }
-                });
-            }
-            // Accept loop — owns `tx`; dropping it on exit disconnects the
-            // workers once the queue drains.
-            loop {
-                if shutdown.load(Ordering::SeqCst) || signals::requested() {
-                    break;
-                }
-                match listener.accept() {
-                    Ok((stream, _peer)) => match tx.try_send((stream, Instant::now())) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(pair)) => {
-                            // Shed-oldest-first (adaptive LIFO): the
-                            // longest-queued connection is the one most
-                            // likely past its caller's patience, so it is
-                            // displaced with a structured `shed` reply and
-                            // the fresh arrival takes its slot. Only if no
-                            // queued entry can be reclaimed (workers
-                            // drained the queue in the race window and it
-                            // refilled — impossible with one acceptor, but
-                            // cheap to guard) does the newcomer get the
-                            // legacy `busy`.
-                            let hint = state.retry_after_hint_ms(rx.len());
-                            if let Some((oldest, _enqueued)) = rx.try_recv() {
-                                state.note_shed_queue();
-                                reply_reject(oldest, shed_queue_response(hint));
-                            }
-                            match tx.try_send(pair) {
-                                Ok(()) => {}
-                                Err(TrySendError::Full((stream, _))) => {
-                                    state.note_busy();
-                                    reply_reject(stream, busy_response_with_hint(hint));
-                                }
-                                Err(TrySendError::Disconnected(_)) => break,
-                            }
-                        }
-                        Err(TrySendError::Disconnected(_)) => break,
-                    },
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        eprintln!("gpp-serve: accept failed: {e}");
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                }
-            }
-            drop(tx);
-        })
-        .expect("gpp-serve worker panicked");
-        Ok(())
+        let config = &self.state.config;
+        accept::run(
+            &self.listener,
+            &self.shutdown,
+            config.workers,
+            config.queue_depth,
+            &*self.state,
+        )
     }
 
     /// Runs the server on a background thread; returns a handle with the
@@ -201,23 +112,46 @@ impl ServerHandle {
     }
 }
 
-fn worker_loop(
-    worker: usize,
-    rx: &Receiver<(TcpStream, Instant)>,
-    state: &ServiceState,
-    shutdown: &AtomicBool,
-) {
-    // recv() drains remaining queued connections after the acceptor drops
-    // the sender, then reports Disconnected — exactly the shutdown drain
-    // semantics we want.
-    while let Ok((stream, enqueued)) = rx.recv() {
-        if let Err(e) = serve_connection(stream, enqueued.elapsed(), rx, state, shutdown) {
+impl Frontend for ServiceState {
+    const NAME: &'static str = "gpp-serve";
+
+    fn serve_connection(
+        &self,
+        stream: TcpStream,
+        queued: Duration,
+        queue: &Queue<Accepted>,
+        shutdown: &AtomicBool,
+    ) {
+        if let Err(e) = serve_connection(stream, queued, queue, self, shutdown) {
             // Client went away mid-request or a socket error: not fatal to
             // the server; note it and move on.
             if e.kind() != io::ErrorKind::UnexpectedEof {
-                eprintln!("gpp-serve: worker {worker}: connection error: {e}");
+                eprintln!("gpp-serve: connection error: {e}");
             }
         }
+    }
+
+    /// Shed-oldest-first (adaptive LIFO): the longest-queued connection
+    /// is the one most likely past its caller's patience, so it is
+    /// displaced with a structured `shed` reply and the fresh arrival
+    /// takes its slot. Only if no queued entry can be reclaimed (workers
+    /// drained the queue in the race window and it refilled — impossible
+    /// with one acceptor, but cheap to guard) does the newcomer get the
+    /// legacy `busy`.
+    fn queue_full(&self, arrival: Accepted, queue: &Queue<Accepted>) {
+        let hint = self.retry_after_hint_ms(queue.len());
+        if let Some((oldest, _enqueued)) = queue.reclaim_oldest() {
+            self.note_shed_queue();
+            reply_reject(oldest, shed_queue_response(hint));
+        }
+        if let Err((stream, _)) = queue.try_push(arrival) {
+            self.note_busy();
+            reply_reject(stream, busy_response_with_hint(hint));
+        }
+    }
+
+    fn worker_restarted(&self) {
+        Metrics::bump(&self.metrics.worker_respawns);
     }
 }
 
@@ -245,7 +179,7 @@ fn worker_loop(
 fn serve_connection(
     mut stream: TcpStream,
     queued: Duration,
-    rx: &Receiver<(TcpStream, Instant)>,
+    queue: &Queue<Accepted>,
     state: &ServiceState,
     shutdown: &AtomicBool,
 ) -> io::Result<()> {
@@ -280,7 +214,7 @@ fn serve_connection(
             if faults.is_active() && faults.fires(gpp_fault::SERVE_WORKER_PANIC) {
                 panic!("injected worker panic (serve.worker.panic)");
             }
-            state.handle_timed(&payload, rx.len(), queued)
+            state.handle_timed(&payload, queue.len(), queued)
         }))
         .unwrap_or_else(|cause| {
             Metrics::bump(&state.metrics.panics_caught);

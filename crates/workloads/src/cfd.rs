@@ -13,9 +13,10 @@
 //! that cancel per element so that a uniform flow state is a fixed point —
 //! the property our conservation test checks.
 
-use crate::par::{par_chunks, REFERENCE_THREADS};
 use crate::WorkloadCase;
+use crate::REFERENCE_THREADS;
 use gpp_datausage::Hints;
+use gpp_par::par_chunks;
 use gpp_skeleton::builder::{cst, idx, irrb, ProgramBuilder};
 use gpp_skeleton::{ElemType, Flops, IndexExpr, Program};
 use rand::rngs::StdRng;

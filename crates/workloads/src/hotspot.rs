@@ -10,9 +10,10 @@
 //! is `temp` + `power` in (2·N²·4 bytes) and the final `temp` out
 //! (N²·4 bytes).
 
-use crate::par::{par_chunks, REFERENCE_THREADS};
 use crate::WorkloadCase;
+use crate::REFERENCE_THREADS;
 use gpp_datausage::Hints;
+use gpp_par::par_chunks;
 use gpp_skeleton::builder::{idx, ProgramBuilder};
 use gpp_skeleton::{ElemType, Flops, Program};
 

@@ -8,10 +8,11 @@
 //!
 //! Each module provides, for one benchmark:
 //!
-//! * a **real numeric implementation** (sequential and crossbeam-parallel,
-//!   validated against each other and against analytic properties) — our
-//!   stand-in for the original C++/OpenMP code, proving the skeletons
-//!   describe real algorithms;
+//! * a **real numeric implementation** (sequential and parallel over
+//!   [`gpp_par::par_chunks`] at [`REFERENCE_THREADS`], validated against
+//!   each other and against analytic properties) — our stand-in for the
+//!   original C++/OpenMP code, proving the skeletons describe real
+//!   algorithms;
 //! * a **code skeleton** (`gpp-skeleton` program) describing the same
 //!   computation the way a GROPHECY++ user would; and
 //! * the **hints** the paper's methodology uses (SRAD's temporary
@@ -26,12 +27,15 @@
 pub mod bsp;
 pub mod cfd;
 pub mod hotspot;
-pub mod par;
 pub mod srad;
 pub mod stassuij;
 
 use gpp_datausage::Hints;
 use gpp_skeleton::Program;
+
+/// Worker count for the parallel reference implementations — the paper's
+/// OpenMP runs use 8 threads (§IV-B).
+pub const REFERENCE_THREADS: usize = 8;
 
 /// One evaluation case: an application at one data size.
 pub struct WorkloadCase {

@@ -10,9 +10,10 @@
 //! device-side temporary — the canonical use of the paper's temporary
 //! hint).
 
-use crate::par::{par_chunks, REFERENCE_THREADS};
 use crate::WorkloadCase;
+use crate::REFERENCE_THREADS;
 use gpp_datausage::Hints;
+use gpp_par::par_chunks;
 use gpp_skeleton::builder::{idx, ProgramBuilder};
 use gpp_skeleton::{ElemType, Flops, Program};
 

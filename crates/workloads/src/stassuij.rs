@@ -17,9 +17,10 @@
 //! (§V-B-4) — only the transfer-aware model gets the port/don't-port
 //! verdict right.
 
-use crate::par::{par_chunks, REFERENCE_THREADS};
 use crate::WorkloadCase;
+use crate::REFERENCE_THREADS;
 use gpp_datausage::Hints;
+use gpp_par::par_chunks;
 use gpp_skeleton::builder::{idx, irrb, ProgramBuilder};
 use gpp_skeleton::{AffineExpr, ElemType, Flops, IndexExpr, Program};
 use rand::rngs::StdRng;
