@@ -66,24 +66,6 @@ for needle in "dual-v2:" "quad-v2:" " split2 " " split4 " " ov "; do
         || { echo "crossfleet output lacks \`$needle\`"; exit 1; }
 done
 
-echo "== perf-regression gate (min-of-N vs committed BENCH_*.json)"
-# Re-measure both bench harnesses to temporary files and fail on >25%
-# regression against the committed baselines. Both harnesses report
-# min-of-N, so a single noisy round cannot trip the gate — only a
-# consistent slowdown across every round does.
-# The committed baselines were taken at one thread and perfgate refuses a
-# fresh run at another thread count, so both benches run under
-# GPP_THREADS=1 whatever the machine's core count.
-PERF_TMP=$(mktemp -d)
-trap 'rm -rf "$PERF_TMP"' EXIT
-GPP_THREADS=1 GPP_BENCH_OUT="$PERF_TMP/project.json" \
-    cargo bench $CARGO_FLAGS -p gpp-bench --bench project_throughput >/dev/null
-GPP_THREADS=1 GPP_BENCH_OUT="$PERF_TMP/serve.json" \
-    cargo bench $CARGO_FLAGS -p gpp-bench --bench serve_throughput >/dev/null
-cargo build $CARGO_FLAGS --release -p gpp-bench --bin perfgate
-target/release/perfgate BENCH_project.json "$PERF_TMP/project.json" --max-regress 0.25
-target/release/perfgate BENCH_serve.json "$PERF_TMP/serve.json" --max-regress 0.25
-
 echo "== chaos suite (pinned fault plan)"
 # The chaos tests pin their own seeds (7, 42, 2013); the env var pins the
 # plan for anything that consults GPP_FAULT_PLAN during the run.
@@ -108,5 +90,25 @@ GPP_FAULT_PLAN='seed=7;serve.compute.slow:always,factor=40' \
     cargo test $CARGO_FLAGS -q -p gpp-serve --test overload --test retries
 GPP_FAULT_PLAN='seed=7;gateway.shard.slow@shard1:after=2,factor=300' \
     cargo test $CARGO_FLAGS -q -p gpp-gateway --test overload
+
+echo "== perf-regression gate (min-of-N vs committed BENCH_*.json)"
+# Runs last: a timing gate that fails on a slow host must not keep the
+# correctness suites above from running.
+# Re-measure both bench harnesses to temporary files and fail on >25%
+# regression against the committed baselines. Both harnesses report
+# min-of-N, so a single noisy round cannot trip the gate — only a
+# consistent slowdown across every round does.
+# The committed baselines were taken at one thread and perfgate refuses a
+# fresh run at another thread count, so both benches run under
+# GPP_THREADS=1 whatever the machine's core count.
+PERF_TMP=$(mktemp -d)
+trap 'rm -rf "$PERF_TMP"' EXIT
+GPP_THREADS=1 GPP_BENCH_OUT="$PERF_TMP/project.json" \
+    cargo bench $CARGO_FLAGS -p gpp-bench --bench project_throughput >/dev/null
+GPP_THREADS=1 GPP_BENCH_OUT="$PERF_TMP/serve.json" \
+    cargo bench $CARGO_FLAGS -p gpp-bench --bench serve_throughput >/dev/null
+cargo build $CARGO_FLAGS --release -p gpp-bench --bin perfgate
+target/release/perfgate BENCH_project.json "$PERF_TMP/project.json" --max-regress 0.25
+target/release/perfgate BENCH_serve.json "$PERF_TMP/serve.json" --max-regress 0.25
 
 echo "CI OK"

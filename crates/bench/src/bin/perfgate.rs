@@ -28,209 +28,12 @@
 //! baseline measure the machine, not the change). Run the harnesses
 //! under `GPP_THREADS=<baseline threads>`.
 //!
-//! The JSON reader below is deliberately minimal — just enough for the
-//! bench harnesses' own renderer output — so the gate stays dependency-
-//! free and usable from `ci.sh` without touching the network.
+//! The bench files are read with `grophecy::report::Json`, the same
+//! module that writes them, so the gate stays dependency-free and usable
+//! from `ci.sh` without touching the network.
 
+use grophecy::report::Json;
 use std::process::ExitCode;
-
-/// The subset of JSON the bench harnesses emit.
-#[derive(Debug, Clone, PartialEq)]
-enum Val {
-    Num(f64),
-    Str(String),
-    Bool(bool),
-    Null,
-    Arr(Vec<Val>),
-    Obj(Vec<(String, Val)>),
-}
-
-impl Val {
-    fn get(&self, key: &str) -> Option<&Val> {
-        match self {
-            Val::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn num(&self, key: &str) -> Option<f64> {
-        match self.get(key)? {
-            Val::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn str_field(&self, key: &str) -> Option<&str> {
-        match self.get(key)? {
-            Val::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn error(&self, message: &str) -> String {
-        format!("JSON parse error at byte {}: {message}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Val, String> {
-        match self.peek().ok_or_else(|| self.error("unexpected end"))? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Val::Str(self.string()?)),
-            b't' => self.literal("true", Val::Bool(true)),
-            b'f' => self.literal("false", Val::Bool(false)),
-            b'n' => self.literal("null", Val::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, word: &str, val: Val) -> Result<Val, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(val)
-        } else {
-            Err(self.error(&format!("expected `{word}`")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Val, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Val::Num)
-            .ok_or_else(|| self.error("bad number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| self.error("dangling escape"))?;
-                    out.push(match esc {
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        other => other as char,
-                    });
-                    self.pos += 1;
-                }
-                Some(&b) => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Val, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Val::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Val::Arr(items));
-                }
-                _ => return Err(self.error("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Val, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Val::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Val::Obj(fields));
-                }
-                _ => return Err(self.error("expected `,` or `}`")),
-            }
-        }
-    }
-}
-
-fn parse(text: &str) -> Result<Val, String> {
-    let mut p = Parser::new(text);
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.error("trailing garbage"));
-    }
-    Ok(v)
-}
 
 /// One comparable measurement: which field to read and which direction
 /// is better, decided by the file's schema.
@@ -240,7 +43,7 @@ struct Schema {
     higher_is_better: bool,
 }
 
-fn schema_of(doc: &Val) -> Result<Schema, String> {
+fn schema_of(doc: &Json) -> Result<Schema, String> {
     if doc.get("arms").is_some() {
         Ok(Schema {
             rows_key: "arms",
@@ -258,18 +61,22 @@ fn schema_of(doc: &Val) -> Result<Schema, String> {
     }
 }
 
-fn rows<'a>(doc: &'a Val, key: &str) -> Result<&'a [Val], String> {
+fn rows<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], String> {
     match doc.get(key) {
-        Some(Val::Arr(items)) => Ok(items),
+        Some(Json::Arr(items)) => Ok(items),
         _ => Err(format!("`{key}` is not an array")),
     }
 }
 
-fn gate(committed: &Val, fresh: &Val, max_regress: f64) -> Result<(), String> {
+fn name_of(row: &Json) -> Option<&str> {
+    row.get("name").and_then(Json::as_str)
+}
+
+fn gate(committed: &Json, fresh: &Json, max_regress: f64) -> Result<(), String> {
     let (base_threads, fresh_threads) = (committed.get("threads"), fresh.get("threads"));
     if base_threads != fresh_threads {
-        let show = |v: Option<&Val>| match v {
-            Some(Val::Num(n)) => n.to_string(),
+        let show = |v: Option<&Json>| match v {
+            Some(Json::Num(n)) => n.to_string(),
             Some(other) => format!("{other:?}"),
             None => "missing".to_string(),
         };
@@ -287,16 +94,18 @@ fn gate(committed: &Val, fresh: &Val, max_regress: f64) -> Result<(), String> {
     let mut failures = Vec::new();
 
     for row in baseline {
-        let name = row.str_field("name").ok_or("baseline row without a name")?;
+        let name = name_of(row).ok_or("baseline row without a name")?;
         let base = row
-            .num(schema.metric)
+            .get(schema.metric)
+            .and_then(Json::as_f64)
             .ok_or_else(|| format!("baseline `{name}` lacks {}", schema.metric))?;
         let fresh_row = measured
             .iter()
-            .find(|r| r.str_field("name") == Some(name))
+            .find(|r| name_of(r) == Some(name))
             .ok_or_else(|| format!("`{name}` missing from the fresh run — gate cannot pass"))?;
         let new = fresh_row
-            .num(schema.metric)
+            .get(schema.metric)
+            .and_then(Json::as_f64)
             .ok_or_else(|| format!("fresh `{name}` lacks {}", schema.metric))?;
         let regress = if schema.higher_is_better {
             base / new - 1.0
@@ -319,8 +128,8 @@ fn gate(committed: &Val, fresh: &Val, max_regress: f64) -> Result<(), String> {
         }
     }
     for row in measured {
-        if let Some(name) = row.str_field("name") {
-            if !baseline.iter().any(|r| r.str_field("name") == Some(name)) {
+        if let Some(name) = name_of(row) {
+            if !baseline.iter().any(|r| name_of(r) == Some(name)) {
                 println!("new  {name:<22} (no baseline; not gated)");
             }
         }
@@ -359,9 +168,9 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let read = |path: &str| -> Result<Val, String> {
+    let read = |path: &str| -> Result<Json, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        parse(&text).map_err(|e| format!("{path}: {e}"))
+        Json::parse(&text).map_err(|e| format!("{path}: {e}"))
     };
     let result = read(&paths[0]).and_then(|committed| {
         let fresh = read(&paths[1])?;
@@ -384,12 +193,12 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn project_doc(threads: u32, arms: &[(&str, f64)]) -> Val {
+    fn project_doc(threads: u32, arms: &[(&str, f64)]) -> Json {
         let arms: Vec<String> = arms
             .iter()
             .map(|(name, min_s)| format!(r#"{{"name":"{name}","min_s":{min_s}}}"#))
             .collect();
-        parse(&format!(
+        Json::parse(&format!(
             r#"{{"bench":"project_throughput","threads":{threads},"arms":[{}]}}"#,
             arms.join(",")
         ))

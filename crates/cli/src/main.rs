@@ -560,33 +560,6 @@ fn with_program(opt: &Options, f: impl FnOnce(&Program, &Hints, &Options) -> Exi
     f(&program, &hints, opt)
 }
 
-/// Applies fix-its to `src` until a fixpoint (each round re-lints the
-/// rewritten text; conflicting fixes resolve across rounds). Returns
-/// the final text and how many fixes were applied in total, or an
-/// error if a rewrite ever stops parsing (a fix-engine bug — the
-/// original file is left untouched).
-fn lint_fixpoint(
-    src: &str,
-    path: &str,
-    cfg: &gpp_lint::LintConfig,
-) -> Result<(String, usize), String> {
-    let mut cur = src.to_string();
-    let mut total = 0usize;
-    for _ in 0..16 {
-        let report = gpp_lint::lint_source(&cur, path, cfg);
-        let (next, n) = gpp_lint::apply_fixes(&cur, &report.diagnostics);
-        if n == 0 {
-            break;
-        }
-        if let Err(e) = text::parse(&next) {
-            return Err(format!("{path}: fixed source no longer parses: {e}"));
-        }
-        cur = next;
-        total += n;
-    }
-    Ok((cur, total))
-}
-
 /// Prices `src` against its fix-it-optimized form on every registered
 /// machine. `None` when there are no applicable fixes (or the fixed
 /// text fails to parse — already reported by `--fix`).
@@ -597,7 +570,7 @@ fn lint_headroom(
     registry: &MachineRegistry,
     seed: u64,
 ) -> Option<Vec<grophecy::MachineHeadroom>> {
-    let (fixed, n) = lint_fixpoint(src, path, cfg).ok()?;
+    let (fixed, n) = gpp_lint::lint_fixpoint(src, path, cfg).ok()?;
     if n == 0 {
         return None;
     }
@@ -612,7 +585,8 @@ fn lint_headroom(
 }
 
 fn cmd_lint(opt: &Options) -> ExitCode {
-    use gpp_lint::{lint_source, render_human, render_json, Code, LintConfig};
+    use gpp_lint::{lint_source, render_human, report_json, Code, LintConfig};
+    use grophecy::report::{headroom_json, Json};
     if let Some(code) = &opt.explain {
         return match gpp_lint::render_explain(code) {
             Some(text) => {
@@ -679,7 +653,7 @@ fn cmd_lint(opt: &Options) -> ExitCode {
             .as_ref()
             .and_then(|r| lint_headroom(&src, path, &cfg, r, opt.seed));
         let effective = if opt.fix {
-            match lint_fixpoint(&src, path, &cfg) {
+            match gpp_lint::lint_fixpoint(&src, path, &cfg) {
                 Ok((fixed, n)) => {
                     if n > 0 && fixed != src {
                         if let Err(e) = std::fs::write(path, &fixed) {
@@ -702,26 +676,11 @@ fn cmd_lint(opt: &Options) -> ExitCode {
         };
         let report = lint_source(&effective, path, &cfg);
         if opt.format_json {
-            let mut line = render_json(&report);
-            if let Some(rows) = &headroom {
-                // Splice the per-machine headroom into the object.
-                line.pop();
-                line.push_str(",\"transfer_headroom\":[");
-                for (i, r) in rows.iter().enumerate() {
-                    if i > 0 {
-                        line.push(',');
-                    }
-                    line.push_str(&format!(
-                        "{{\"machine\":\"{}\",\"as_written\":{},\"optimized\":{},\"headroom\":{}}}",
-                        r.machine,
-                        r.as_written,
-                        r.optimized,
-                        r.headroom()
-                    ));
-                }
-                line.push_str("]}");
+            let mut json = report_json(&report);
+            if let (Json::Obj(fields), Some(rows)) = (&mut json, &headroom) {
+                fields.push(("transfer_headroom".into(), headroom_json(rows)));
             }
-            println!("{line}");
+            println!("{}", json.render());
         } else {
             print!("{}", render_human(&report, Some(&effective)));
         }

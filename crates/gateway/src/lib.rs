@@ -317,10 +317,8 @@ impl GatewayState {
     /// Sends one shard's group of batch members as a single `batch` frame
     /// and returns their sub-replies in member order, or `None` when the
     /// forward failed or the reply is not a batch of `members.len()`
-    /// sub-replies. A failed forward trips the shard's breaker, as a
-    /// failed single forward does. Batch round-trips stay out of the
-    /// latency window: its p99 is the hedging trigger for single
-    /// forwards.
+    /// sub-replies. Its round-trip time is not recorded (see
+    /// [`Shard::forward`]).
     fn forward_group(
         &self,
         shard: &Shard,
@@ -329,20 +327,11 @@ impl GatewayState {
     ) -> Option<Vec<String>> {
         GatewayMetrics::bump(&self.metrics.routed_total);
         let frame = Request::new_batch(members.iter().map(|&i| req.batch[i].clone())).encode();
-        match shard.forward(&frame, self.config.request_timeout, &self.config.faults) {
-            Ok(reply) => {
-                shard.mark_healthy(self.config.probe_interval);
-                shard.routed.fetch_add(1, Ordering::Relaxed);
-                let parts = split_batch_response(&reply)?;
-                (parts.len() == members.len())
-                    .then(|| parts.into_iter().map(str::to_string).collect())
-            }
-            Err(_) => {
-                shard.forward_errors.fetch_add(1, Ordering::Relaxed);
-                shard.mark_failed(self.config.probe_backoff);
-                None
-            }
-        }
+        let (reply, _) = shard
+            .forward(&frame, self.config.request_timeout, &self.config)
+            .ok()?;
+        let parts = split_batch_response(&reply)?;
+        (parts.len() == members.len()).then(|| parts.into_iter().map(str::to_string).collect())
     }
 
     /// Routes one skeleton-bearing (or calibrate) request: decrements the
@@ -415,7 +404,8 @@ impl GatewayState {
                 Joined::Orphaned => self.forward_project(fwd_payload, key, remaining),
             }
         } else {
-            self.forward_failover(fwd_payload, key, remaining)
+            GatewayMetrics::bump(&self.metrics.routed_total);
+            self.failover_attempts(fwd_payload, key, remaining)
         };
         // No ok reply may cross its propagated deadline: an upstream
         // success that arrived late (slow forward path, exhausted hedge
@@ -533,23 +523,14 @@ impl GatewayState {
     ) {
         let shard = shard.clone();
         let payload = payload.to_string();
-        let faults = self.config.faults.clone();
-        let probe_interval = self.config.probe_interval;
-        let probe_backoff = self.config.probe_backoff;
+        let config = self.config.clone();
         std::thread::spawn(move || {
-            let started = Instant::now();
-            let result = shard.forward(&payload, timeout, &faults);
-            match &result {
-                Ok(_) => {
-                    shard.mark_healthy(probe_interval);
-                    shard.record_latency(started.elapsed());
-                    shard.routed.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(_) => {
-                    shard.forward_errors.fetch_add(1, Ordering::Relaxed);
-                    shard.mark_failed(probe_backoff);
-                }
-            }
+            let result = shard
+                .forward(&payload, timeout, &config)
+                .map(|(reply, elapsed)| {
+                    shard.record_latency(elapsed);
+                    reply
+                });
             let _ = tx.send((is_hedge, result.map_err(|e| e.to_string())));
         });
     }
@@ -558,15 +539,9 @@ impl GatewayState {
     /// if every healthy attempt failed — the evicted ones as a last
     /// resort (fail-fast marking may be stale). Every failure marks the
     /// shard unhealthy so later requests skip it immediately.
-    fn forward_failover(&self, payload: &str, key: u64, remaining: Option<Duration>) -> String {
-        GatewayMetrics::bump(&self.metrics.routed_total);
-        self.failover_attempts(payload, key, remaining)
-    }
-
     fn failover_attempts(&self, payload: &str, key: u64, remaining: Option<Duration>) -> String {
         let candidates = self.pool.route(key);
         let timeout = self.forward_timeout(remaining);
-        let faults = &self.config.faults;
         // Snapshot health up front: healthy shards first (ring order),
         // then the evicted ones as a last resort — fail-fast marking may
         // be stale, and a full pool of "unhealthy" shards must still get
@@ -582,18 +557,9 @@ impl GatewayState {
             if tried > 1 {
                 GatewayMetrics::bump(&self.metrics.failovers);
             }
-            let started = Instant::now();
-            match shard.forward(payload, timeout, faults) {
-                Ok(reply) => {
-                    shard.mark_healthy(self.config.probe_interval);
-                    shard.record_latency(started.elapsed());
-                    shard.routed.fetch_add(1, Ordering::Relaxed);
-                    return reply;
-                }
-                Err(_) => {
-                    shard.forward_errors.fetch_add(1, Ordering::Relaxed);
-                    shard.mark_failed(self.config.probe_backoff);
-                }
+            if let Ok((reply, elapsed)) = shard.forward(payload, timeout, &self.config) {
+                shard.record_latency(elapsed);
+                return reply;
             }
         }
         GatewayMetrics::bump(&self.metrics.unavailable);

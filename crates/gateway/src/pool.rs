@@ -24,6 +24,7 @@
 //! shards mid-load reproducibly.
 
 use crate::ring::HashRing;
+use crate::GatewayConfig;
 use gpp_fault::FaultInjector;
 use gpp_serve::client::{backoff_delay, jitter_seed, Client};
 use std::io;
@@ -195,18 +196,41 @@ impl Shard {
         Some(sorted[rank - 1])
     }
 
+    /// Forwards one already-encoded payload and keeps the shard's books:
+    /// a reply re-closes the breaker and counts as routed; an error counts
+    /// as a forward error and trips the breaker open. Returns the reply
+    /// with its round-trip time, which single forwards add to the latency
+    /// window (batch round-trips stay out of it: its p99 is the hedging
+    /// trigger for single forwards).
+    pub fn forward(
+        &self,
+        payload: &str,
+        timeout: Duration,
+        config: &GatewayConfig,
+    ) -> io::Result<(String, Duration)> {
+        let started = Instant::now();
+        match self.send(payload, timeout, &config.faults) {
+            Ok(reply) => {
+                let elapsed = started.elapsed();
+                self.mark_healthy(config.probe_interval);
+                self.routed.fetch_add(1, Ordering::Relaxed);
+                Ok((reply, elapsed))
+            }
+            Err(e) => {
+                self.forward_errors.fetch_add(1, Ordering::Relaxed);
+                self.mark_failed(config.probe_backoff);
+                Err(e)
+            }
+        }
+    }
+
     /// Sends one already-encoded payload to the shard and returns the raw
     /// reply. Consults the injection points first so chaos plans can kill
     /// (`gateway.shard.down`), slow (`gateway.shard.slow`, factor =
     /// milliseconds), or hang (`gateway.shard.hang` — sleeps min(factor
     /// ms, timeout) and fails as timed out, never reaching the wire) this
     /// shard without a real process dying.
-    pub fn forward(
-        &self,
-        payload: &str,
-        timeout: Duration,
-        faults: &FaultInjector,
-    ) -> io::Result<String> {
+    fn send(&self, payload: &str, timeout: Duration, faults: &FaultInjector) -> io::Result<String> {
         if faults.is_active() {
             if let Some(ms) =
                 faults.fire_factor_scoped(gpp_fault::GATEWAY_SHARD_SLOW, Some(&self.label))
@@ -235,7 +259,7 @@ impl Shard {
     /// One health probe round-trip. The same injection point applies, so
     /// an injected-down shard stays evicted until its rule stops firing.
     fn probe(&self, timeout: Duration, faults: &FaultInjector) -> bool {
-        self.forward("gpp/1 health", timeout, faults)
+        self.send("gpp/1 health", timeout, faults)
             .map(|reply| reply.contains("\"ok\":true"))
             .unwrap_or(false)
     }
@@ -326,6 +350,13 @@ impl ShardPool {
 mod tests {
     use super::*;
 
+    fn config_with(faults: gpp_fault::FaultInjector) -> GatewayConfig {
+        GatewayConfig {
+            faults: Arc::new(faults),
+            ..GatewayConfig::default()
+        }
+    }
+
     #[test]
     fn failed_shard_leaves_and_rejoins() {
         let pool = ShardPool::new(vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()]);
@@ -396,35 +427,41 @@ mod tests {
 
     #[test]
     fn injected_hang_times_out_without_network() {
-        let faults =
-            gpp_fault::FaultInjector::new(gpp_fault::FaultPlan::empty().with_seed(7).with(
+        let config = config_with(gpp_fault::FaultInjector::new(
+            gpp_fault::FaultPlan::empty().with_seed(7).with(
                 &gpp_fault::scoped_point(gpp_fault::GATEWAY_SHARD_HANG, "shard0"),
                 gpp_fault::Rule::new(gpp_fault::Mode::Always).factor(5.0),
-            ));
+            ),
+        ));
         let shard = Shard::new("shard0".into(), "127.0.0.1:9".into());
         let err = shard
-            .forward("gpp/1 ping", Duration::from_millis(50), &faults)
+            .forward("gpp/1 ping", Duration::from_millis(50), &config)
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
     }
 
     #[test]
     fn injected_down_fails_forward_without_network() {
-        let faults =
-            gpp_fault::FaultInjector::new(gpp_fault::FaultPlan::empty().with_seed(7).with(
+        let config = config_with(gpp_fault::FaultInjector::new(
+            gpp_fault::FaultPlan::empty().with_seed(7).with(
                 &gpp_fault::scoped_point(gpp_fault::GATEWAY_SHARD_DOWN, "shard0"),
                 gpp_fault::Rule::new(gpp_fault::Mode::Always),
-            ));
+            ),
+        ));
         let shard = Shard::new("shard0".into(), "127.0.0.1:9".into());
         let err = shard
-            .forward("gpp/1 ping", Duration::from_millis(100), &faults)
+            .forward("gpp/1 ping", Duration::from_millis(100), &config)
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
+        // The failed forward kept the books: counted, breaker tripped.
+        assert_eq!(shard.forward_errors.load(Ordering::SeqCst), 1);
+        assert_eq!(shard.breaker(), Breaker::Open);
+        assert_eq!(shard.routed.load(Ordering::SeqCst), 0);
         // Unscoped shard label: the point does not fire, so the forward
         // fails on the real (dead) address instead — different error.
         let other = Shard::new("shard1".into(), "127.0.0.1:9".into());
         let err = other
-            .forward("gpp/1 ping", Duration::from_millis(100), &faults)
+            .forward("gpp/1 ping", Duration::from_millis(100), &config)
             .unwrap_err();
         assert_ne!(err.to_string(), "injected shard down (shard1)");
     }

@@ -52,7 +52,7 @@ pub use diag::{Code, Diagnostic, LintConfig, LintReport, Severity};
 pub use explain::{explain, render_explain, Explanation};
 pub use fixit::{apply_fixes, Edit, FixIt};
 pub use passes::lint_program;
-pub use render::{render_human, render_json};
+pub use render::{render_human, render_json, report_json};
 
 use gpp_datausage::Hints;
 use gpp_skeleton::Span;
@@ -81,6 +81,29 @@ pub fn lint_source(src: &str, file: &str, cfg: &LintConfig) -> LintReport {
         file: file.to_string(),
         diagnostics: cfg.apply(diagnostics),
     }
+}
+
+/// Applies fix-its to `src` until a fixpoint (each round re-lints the
+/// rewritten text; conflicting fixes resolve across rounds, capped at 16
+/// rounds). Returns the final text and how many fixes were applied in
+/// total, or an error if a rewrite ever stops parsing (a fix-engine bug;
+/// callers keep the original text).
+pub fn lint_fixpoint(src: &str, file: &str, cfg: &LintConfig) -> Result<(String, usize), String> {
+    let mut cur = src.to_string();
+    let mut total = 0usize;
+    for _ in 0..16 {
+        let report = lint_source(&cur, file, cfg);
+        let (next, n) = apply_fixes(&cur, &report.diagnostics);
+        if n == 0 {
+            break;
+        }
+        if let Err(e) = gpp_skeleton::text::parse(&next) {
+            return Err(format!("{file}: fixed source no longer parses: {e}"));
+        }
+        cur = next;
+        total += n;
+    }
+    Ok((cur, total))
 }
 
 #[cfg(test)]

@@ -3,6 +3,7 @@
 
 use crate::diag::LintReport;
 use crate::fixit::{Edit, FixIt};
+use grophecy::report::Json;
 use std::fmt::Write as _;
 
 /// Renders a report the way compilers do:
@@ -74,91 +75,68 @@ pub fn render_human(report: &LintReport, source: Option<&str>) -> String {
 /// `line` 0 means "no source position". The schema is stable; new keys
 /// may be added but existing ones never change meaning.
 pub fn render_json(report: &LintReport) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"file\":\"{}\",\"errors\":{},\"warnings\":{},\"notes\":{},\"diagnostics\":[",
-        json_escape(&report.file),
-        report.errors(),
-        report.warnings(),
-        report.notes()
-    );
-    for (i, d) in report.diagnostics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"code\":\"{}\",\"severity\":\"{}\",\"line\":{},\"col\":{},\"len\":{},\"message\":\"{}\"",
-            d.code,
-            d.severity,
-            d.span.line,
-            d.span.col,
-            d.span.len,
-            json_escape(&d.message)
-        );
-        if let Some(fix) = &d.fix {
-            out.push_str(",\"fix\":");
-            out.push_str(&fix_json(fix));
-        }
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
+    report_json(report).render()
 }
 
-/// Renders one fix-it as a JSON object (`summary` + structured edits).
-fn fix_json(fix: &FixIt) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"summary\":\"{}\",\"edits\":[",
-        json_escape(&fix.summary)
-    );
-    for (i, e) in fix.edits.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        match e {
+/// The [`render_json`] object, for callers that add keys before
+/// rendering it.
+pub fn report_json(report: &LintReport) -> Json {
+    let diagnostics = report
+        .diagnostics
+        .iter()
+        .map(|d| {
+            let mut fields = vec![
+                ("code", Json::Str(d.code.to_string())),
+                ("severity", Json::Str(d.severity.to_string())),
+                ("line", count(d.span.line)),
+                ("col", count(d.span.col)),
+                ("len", count(d.span.len)),
+                ("message", Json::Str(d.message.clone())),
+            ];
+            if let Some(fix) = &d.fix {
+                fields.push(("fix", fix_json(fix)));
+            }
+            Json::obj(fields)
+        })
+        .collect();
+    Json::obj([
+        ("file", Json::Str(report.file.clone())),
+        ("errors", count(report.errors())),
+        ("warnings", count(report.warnings())),
+        ("notes", count(report.notes())),
+        ("diagnostics", Json::Arr(diagnostics)),
+    ])
+}
+
+fn count(n: usize) -> Json {
+    Json::Num(n as f64)
+}
+
+/// One fix-it as a JSON object (`summary` + structured edits).
+fn fix_json(fix: &FixIt) -> Json {
+    let edits = fix
+        .edits
+        .iter()
+        .map(|e| match e {
             Edit::DeleteLine { line } => {
-                let _ = write!(out, "{{\"op\":\"delete\",\"line\":{line}}}");
+                Json::obj([("op", Json::Str("delete".into())), ("line", count(*line))])
             }
-            Edit::MoveLine { line, before } => {
-                let _ = write!(
-                    out,
-                    "{{\"op\":\"move\",\"line\":{line},\"before\":{before}}}"
-                );
-            }
-            Edit::Append { line, text } => {
-                let _ = write!(
-                    out,
-                    "{{\"op\":\"append\",\"line\":{line},\"text\":\"{}\"}}",
-                    json_escape(text)
-                );
-            }
-        }
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Escapes a string for embedding in a JSON literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+            Edit::MoveLine { line, before } => Json::obj([
+                ("op", Json::Str("move".into())),
+                ("line", count(*line)),
+                ("before", count(*before)),
+            ]),
+            Edit::Append { line, text } => Json::obj([
+                ("op", Json::Str("append".into())),
+                ("line", count(*line)),
+                ("text", Json::Str(text.clone())),
+            ]),
+        })
+        .collect();
+    Json::obj([
+        ("summary", Json::Str(fix.summary.clone())),
+        ("edits", Json::Arr(edits)),
+    ])
 }
 
 #[cfg(test)]
@@ -268,9 +246,18 @@ mod tests {
 
     #[test]
     fn control_chars_are_escaped() {
-        assert_eq!(
-            json_escape("a\nb\t\"c\"\\\u{1}"),
-            "a\\nb\\t\\\"c\\\"\\\\\\u0001"
+        let r = LintReport {
+            file: "f.gsk".into(),
+            diagnostics: vec![Diagnostic::new(
+                Code::UnusedArray,
+                Span::none(),
+                "a\nb\t\"c\"\\\u{1}".into(),
+            )],
+        };
+        assert!(
+            render_json(&r).contains("\"message\":\"a\\nb\\t\\\"c\\\"\\\\\\u0001\""),
+            "{}",
+            render_json(&r)
         );
     }
 }

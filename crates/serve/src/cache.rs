@@ -42,24 +42,6 @@ impl CalibrationCache {
         Self::default()
     }
 
-    /// Returns the cached projector or calibrates one with `calibrate`.
-    /// The boolean is `true` on a cache hit.
-    pub fn get_or_calibrate(
-        &self,
-        key: CalibKey,
-        calibrate: impl FnOnce() -> Grophecy,
-    ) -> (Arc<Grophecy>, bool) {
-        if let Some(g) = self.get(&key) {
-            return (g, true);
-        }
-        // Race window: two workers may both calibrate the same key; the
-        // second insert wins and both results are identical (calibration
-        // is deterministic per key), so this stays simple.
-        let g = Arc::new(calibrate());
-        self.insert(key, g.clone());
-        (g, false)
-    }
-
     /// Looks up a cached calibration.
     pub fn get(&self, key: &CalibKey) -> Option<Arc<Grophecy>> {
         self.map

@@ -36,6 +36,7 @@
 //! replies for `xs` sent in order. Batches do not nest.
 //! [`split_batch_response`] takes a batch reply apart again.
 
+use grophecy::report::Json;
 use std::io::{self, Read, Write};
 
 /// Protocol magic for version 1.
@@ -540,16 +541,23 @@ impl ProtocolError {
     /// Recovers the structured error from a rendered
     /// `{"ok":false,"error":{"kind":...,"message":...}}` response, so a
     /// client can round-trip every error kind the server emits. Returns
-    /// `None` for success responses or non-error JSON.
+    /// `None` for success responses or non-error JSON. Success replies
+    /// are recognised by a substring check and never parsed.
     pub fn from_response(response: &str) -> Option<ProtocolError> {
         if !response.contains("\"ok\":false") {
             return None;
         }
+        let reply = Json::parse(response).ok()?;
+        let error = reply.get("error")?;
         Some(ProtocolError {
-            kind: extract_json_string(response, "kind")?,
-            message: extract_json_string(response, "message")?,
+            kind: error.get("kind")?.as_str()?.to_string(),
+            message: error.get("message")?.as_str()?.to_string(),
             diagnostics: Vec::new(),
-            retry_after_ms: retry_after_ms(response),
+            retry_after_ms: reply
+                .get("retry_after_ms")
+                .and_then(Json::as_f64)
+                .filter(|ms| *ms >= 0.0)
+                .map(|ms| ms as u64),
         })
     }
 }
@@ -558,42 +566,7 @@ impl ProtocolError {
 /// `shed` reply, if present. Clients use it to pace their next attempt
 /// instead of the fixed exponential base.
 pub fn retry_after_ms(response: &str) -> Option<u64> {
-    let needle = "\"retry_after_ms\":";
-    let start = response.find(needle)? + needle.len();
-    let digits: String = response[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// Pulls the string value of `"key":"..."` out of rendered JSON, undoing
-/// the escapes our renderer produces. Good enough for the flat error
-/// objects this protocol emits; not a general JSON parser.
-fn extract_json_string(json: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                'u' => {
-                    let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                esc => out.push(esc),
-            },
-            other => out.push(other),
-        }
-    }
-    None
+    ProtocolError::from_response(response)?.retry_after_ms
 }
 
 /// Writes one `<len>\n<payload>` frame.

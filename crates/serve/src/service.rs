@@ -19,7 +19,7 @@ use grophecy::machine::MachineConfig;
 use grophecy::measurement::measure;
 use grophecy::projector::{AppProjection, Grophecy};
 use grophecy::registry::MachineRegistry;
-use grophecy::report::{measurement_json, projection_json, speedup_json, Json};
+use grophecy::report::{headroom_json, measurement_json, projection_json, speedup_json, Json};
 use grophecy::speedup::SpeedupReport;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -578,38 +578,14 @@ impl ServiceState {
     /// `None` when no fix applies or a rewrite fails to re-parse.
     fn transfer_headroom_json(&self, req: &Request, program: &Program) -> Option<Json> {
         let cfg = gpp_lint::LintConfig::new();
-        let mut cur = req.skeleton.clone();
-        let mut applied = 0usize;
-        for _ in 0..16 {
-            let report = gpp_lint::lint_source(&cur, "request.gsk", &cfg);
-            let (next, n) = gpp_lint::apply_fixes(&cur, &report.diagnostics);
-            if n == 0 {
-                break;
-            }
-            if text::parse(&next).is_err() {
-                return None;
-            }
-            cur = next;
-            applied += n;
-        }
+        let (fixed, applied) = gpp_lint::lint_fixpoint(&req.skeleton, "request.gsk", &cfg).ok()?;
         if applied == 0 {
             return None;
         }
-        let optimized = text::parse(&cur).ok()?;
+        let optimized = text::parse(&fixed).ok()?;
         let rows =
             grophecy::transfer_headroom(&self.config.machines, req.seed, program, &optimized);
-        Some(Json::Arr(
-            rows.iter()
-                .map(|r| {
-                    Json::obj([
-                        ("machine", Json::Str(r.machine.clone())),
-                        ("as_written", Json::Num(r.as_written)),
-                        ("optimized", Json::Num(r.optimized)),
-                        ("headroom", Json::Num(r.headroom())),
-                    ])
-                })
-                .collect(),
-        ))
+        Some(headroom_json(&rows))
     }
 
     fn cmd_measure(
