@@ -5,6 +5,7 @@ use gpp_pcie::{
     BusParams, BusSimulator, Calibrator, Direction, MemType, PiecewiseModel, SweepValidation,
 };
 use gpp_workloads::{paper_cases, srad::Srad};
+use grophecy::timeline::bus_direction;
 
 /// D1 — linear (2-point) vs piecewise (30-point) PCIe model accuracy on a
 /// held-out sweep. Returns `(linear_mean_err_pct, piecewise_mean_err_pct,
@@ -54,10 +55,7 @@ pub fn memtype_ablation(seed: u64) -> f64 {
     for case in paper_cases() {
         let plan = analyze(&case.program, &case.hints);
         for t in plan.all() {
-            let dir = match t.dir {
-                gpp_datausage::TransferDir::ToDevice => Direction::HostToDevice,
-                gpp_datausage::TransferDir::FromDevice => Direction::DeviceToHost,
-            };
+            let dir = bus_direction(t.dir);
             let meas: f64 = (0..10)
                 .map(|_| bus.transfer(t.bytes, dir, MemType::Pageable))
                 .sum::<f64>()
@@ -76,13 +74,7 @@ pub fn batching_ablation(seed: u64) -> Vec<(String, f64, f64)> {
     let model = Calibrator::default().calibrate(&mut bus);
     let predict = |plan: &gpp_datausage::TransferPlan| -> f64 {
         plan.all()
-            .map(|t| {
-                let dir = match t.dir {
-                    gpp_datausage::TransferDir::ToDevice => Direction::HostToDevice,
-                    gpp_datausage::TransferDir::FromDevice => Direction::DeviceToHost,
-                };
-                model.predict(t.bytes, dir)
-            })
+            .map(|t| model.predict(t.bytes, bus_direction(t.dir)))
             .sum()
     };
     paper_cases()
@@ -108,13 +100,7 @@ pub fn hints_ablation(seed: u64) -> Vec<(usize, f64, f64)> {
             let without = analyze(&s.program(), &gpp_datausage::Hints::new());
             let time = |plan: &gpp_datausage::TransferPlan| -> f64 {
                 plan.all()
-                    .map(|t| {
-                        let dir = match t.dir {
-                            gpp_datausage::TransferDir::ToDevice => Direction::HostToDevice,
-                            gpp_datausage::TransferDir::FromDevice => Direction::DeviceToHost,
-                        };
-                        model.predict(t.bytes, dir)
-                    })
+                    .map(|t| model.predict(t.bytes, bus_direction(t.dir)))
                     .sum()
             };
             (n, time(&with), time(&without))

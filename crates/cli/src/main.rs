@@ -4,7 +4,7 @@ use gpp_datausage::{analyze, Hints};
 use gpp_skeleton::text;
 use gpp_skeleton::Program;
 use grophecy::machine::MachineConfig;
-use grophecy::measurement::measure;
+use grophecy::measurement::{check_fits, measure};
 use grophecy::projector::Grophecy;
 use grophecy::speedup::SpeedupReport;
 use grophecy::MachineRegistry;
@@ -799,6 +799,10 @@ fn cmd_measure(program: &Program, hints: &Hints, opt: &Options) -> ExitCode {
         return ExitCode::from(2);
     };
     let mut node = machine.node();
+    if let Err(e) = check_fits(&node, program) {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
+    }
     let gro = Grophecy::calibrate(&machine, &mut node);
     let proj = gro.project(program, hints);
     let meas = measure(&mut node, program, &proj);

@@ -10,9 +10,10 @@
 use crate::lowering::lower_kernel;
 use crate::machine::SimulatedNode;
 use crate::projector::AppProjection;
+use crate::timeline::bus_direction;
 use gpp_cpu_sim::WorkEstimate;
-use gpp_datausage::{Transfer, TransferDir};
-use gpp_pcie::{Bus, Direction, MemType};
+use gpp_datausage::Transfer;
+use gpp_pcie::{Bus, MemType};
 use gpp_skeleton::sections::{read_sets, write_sets};
 use gpp_skeleton::Program;
 
@@ -58,8 +59,29 @@ impl AppMeasurement {
 /// The number of runs each measurement averages (§IV-A).
 pub const MEASUREMENT_RUNS: u32 = 10;
 
+/// Checks that the program's working set fits in the node's device
+/// memory, exactly as the real port's `cudaMalloc` calls would demand.
+/// Run it before [`measure`] on a program from outside the process: the
+/// error is the message `measure` would panic with.
+pub fn check_fits(node: &SimulatedNode, program: &Program) -> Result<(), String> {
+    let device = node.gpu.device();
+    let device_bytes = program.total_array_bytes();
+    if device_bytes <= device.dram_bytes {
+        return Ok(());
+    }
+    Err(format!(
+        "working set ({device_bytes} B) exceeds device memory ({} B) on {}",
+        device.dram_bytes, device.name
+    ))
+}
+
 /// Measures an application on the node, using the projection's chosen
 /// per-kernel transformations (the paper's hand-port methodology).
+///
+/// # Panics
+///
+/// When the working set does not fit in device memory (see
+/// [`check_fits`]) or the projection is of another program.
 pub fn measure(
     node: &mut SimulatedNode,
     program: &Program,
@@ -70,16 +92,9 @@ pub fn measure(
         program.kernels.len(),
         "projection does not match program"
     );
-    // Reality check before timing anything: the working set must fit in
-    // device memory, exactly as the real port's cudaMalloc calls would
-    // demand.
-    let device_bytes = program.total_array_bytes();
-    assert!(
-        device_bytes <= node.gpu.device().dram_bytes,
-        "working set ({device_bytes} B) exceeds device memory ({} B) on {}",
-        node.gpu.device().dram_bytes,
-        node.gpu.device().name
-    );
+    if let Err(e) = check_fits(node, program) {
+        panic!("{e}");
+    }
 
     // Kernels: mean of ten launches each, at GROPHECY's suggested config.
     let mut kernel_times = Vec::with_capacity(program.kernels.len());
@@ -93,10 +108,7 @@ pub fn measure(
     // Transfers: pinned memory, mean of ten runs each.
     let mut transfer_times = Vec::with_capacity(projection.plan.transfer_count());
     for t in projection.plan.all() {
-        let dir = match t.dir {
-            TransferDir::ToDevice => Direction::HostToDevice,
-            TransferDir::FromDevice => Direction::DeviceToHost,
-        };
+        let dir = bus_direction(t.dir);
         let mean: f64 = (0..MEASUREMENT_RUNS)
             .map(|_| node.bus.transfer(t.bytes, dir, MemType::Pinned))
             .sum::<f64>()

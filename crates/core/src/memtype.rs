@@ -10,10 +10,10 @@
 //! `malloc`. This module calibrates *both* memory types, adds the
 //! allocation model, and recommends a host memory type per workload.
 
-use crate::projector::Grophecy;
-use gpp_datausage::{TransferDir, TransferPlan};
+use crate::timeline::bus_direction;
+use gpp_datausage::TransferPlan;
 use gpp_pcie::model::DirectionalModel;
-use gpp_pcie::{AllocModel, Bus, Calibrator, Direction, MemType};
+use gpp_pcie::{AllocModel, Bus, Calibrator, MemType};
 
 /// The outcome of the tradeoff exploration for one transfer plan.
 #[derive(Debug, Clone)]
@@ -87,13 +87,7 @@ impl DualCalibration {
             MemType::Pageable => &self.pageable,
         };
         plan.all()
-            .map(|t| {
-                let dir = match t.dir {
-                    TransferDir::ToDevice => Direction::HostToDevice,
-                    TransferDir::FromDevice => Direction::DeviceToHost,
-                };
-                model.predict(t.bytes, dir)
-            })
+            .map(|t| model.predict(t.bytes, bus_direction(t.dir)))
             .sum()
     }
 
@@ -131,16 +125,6 @@ impl DualCalibration {
             pageable_alloc,
             pageable_wins_below_sessions,
         }
-    }
-}
-
-impl Grophecy {
-    /// Convenience: run the dual calibration and tradeoff exploration for
-    /// a program's transfer plan on the given bus. (The projector itself
-    /// stays pinned-only, matching the paper's assumption; this is the
-    /// opt-in future-work analysis.)
-    pub fn explore_memtype(&self, bus: &mut dyn Bus, plan: &TransferPlan) -> MemTypeReport {
-        DualCalibration::run(bus).explore(plan)
     }
 }
 
@@ -203,14 +187,12 @@ mod tests {
     }
 
     #[test]
-    fn grophecy_hook_works() {
+    fn dual_calibration_explores_a_node_bus() {
         use crate::machine::MachineConfig;
-        let machine = MachineConfig::anl_eureka_node(5);
-        let mut node = machine.node();
-        let gro = Grophecy::calibrate(&machine, &mut node);
+        let mut node = MachineConfig::anl_eureka_node(5).node();
         let hs = HotSpot { n: 512 };
         let plan = gpp_datausage::analyze(&hs.program(), &hs.hints());
-        let report = gro.explore_memtype(&mut node.bus, &plan);
+        let report = DualCalibration::run(&mut node.bus).explore(&plan);
         assert!(report.pinned_transfer > 0.0 && report.pageable_transfer > 0.0);
         assert!(report.pageable_transfer > report.pinned_transfer);
     }

@@ -1,15 +1,13 @@
 //! The GROPHECY++ projector: kernel time + transfer time, from a skeleton.
 
 use crate::machine::{BusSpec, DeviceLink, MachineConfig, RootComplex, SimulatedNode};
-use crate::timeline::{MultiGpuProjection, Timeline};
+use crate::timeline::{bus_direction, MultiGpuProjection, Timeline};
 use gpp_datausage::{analyze, Hints, TransferDir, TransferPlan};
 use gpp_fault::FaultInjector;
 use gpp_gpu_model::{project_best_with, GpuSpec, KernelProjection, SearchOpts};
 use gpp_pcie::model::DirectionalModel;
 use gpp_pcie::overlap::DEFAULT_STAGING_LATENCY;
-use gpp_pcie::{
-    AllocModel, Bus, CalibrationError, Calibrator, ChunkedModel, Direction, FaultyBus, MemType,
-};
+use gpp_pcie::{AllocModel, CalibrationError, Calibrator, ChunkedModel, FaultyBus, MemType};
 use gpp_skeleton::Program;
 use std::sync::Arc;
 
@@ -163,34 +161,6 @@ impl Grophecy {
         })
     }
 
-    /// Builds a projector from an already-fitted PCIe model (used by
-    /// ablations that want to inject specific α/β values).
-    pub fn with_model(spec: GpuSpec, pcie: DirectionalModel) -> Self {
-        Grophecy {
-            spec,
-            pcie,
-            mem: MemType::Pinned,
-            alloc: None,
-            staging_latency: DEFAULT_STAGING_LATENCY,
-            devices: Vec::new(),
-            root_complex: None,
-        }
-    }
-
-    /// Calibrates against any [`Bus`] implementation.
-    pub fn calibrate_on_bus(spec: GpuSpec, bus: &mut dyn Bus) -> Self {
-        let pcie = Calibrator::default().calibrate(bus);
-        Grophecy {
-            spec,
-            pcie,
-            mem: MemType::Pinned,
-            alloc: None,
-            staging_latency: DEFAULT_STAGING_LATENCY,
-            devices: Vec::new(),
-            root_complex: None,
-        }
-    }
-
     /// Enables the allocation-overhead term (paper future work, §VII).
     #[must_use]
     pub fn with_alloc_model(mut self, alloc: AllocModel) -> Self {
@@ -210,11 +180,7 @@ impl Grophecy {
 
     /// Predicted time for one transfer of `bytes` in `dir`.
     pub fn predict_transfer(&self, bytes: u64, dir: TransferDir) -> f64 {
-        let d = match dir {
-            TransferDir::ToDevice => Direction::HostToDevice,
-            TransferDir::FromDevice => Direction::DeviceToHost,
-        };
-        self.pcie.predict(bytes, d)
+        self.pcie.predict(bytes, bus_direction(dir))
     }
 
     /// Projects a whole application: best kernel times + transfer plan +

@@ -104,23 +104,6 @@ pub const SERVE_COMPUTE_SLOW: &str = "serve.compute.slow";
 /// while the primary hangs.
 pub const GATEWAY_SHARD_HANG: &str = "gateway.shard.hang";
 
-/// Every fault point the stack consults, for docs and plan validation
-/// diagnostics (plans may name other points; unknown points simply never
-/// get consulted).
-pub const KNOWN_POINTS: &[&str] = &[
-    PCIE_TRANSFER_ERROR,
-    PCIE_TRANSFER_STALL,
-    PCIE_CALIBRATION_OUTLIER,
-    GPU_LAUNCH_TRANSIENT,
-    SERVE_WORKER_PANIC,
-    SERVE_FRAME_CORRUPT,
-    SERVE_CALIBRATE_FAIL,
-    GATEWAY_SHARD_DOWN,
-    GATEWAY_SHARD_SLOW,
-    SERVE_COMPUTE_SLOW,
-    GATEWAY_SHARD_HANG,
-];
-
 /// The machine-scoped spelling of a fault point: `point@machine`.
 ///
 /// Scoped rules let one plan target a single machine in a multi-machine

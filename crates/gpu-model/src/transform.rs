@@ -38,18 +38,6 @@ pub struct Transformation {
     pub thread_axis: Option<gpp_skeleton::LoopId>,
 }
 
-impl Transformation {
-    /// A default-mapped transformation with the given block size.
-    pub fn with_block(block_threads: u32) -> Self {
-        Transformation {
-            block_threads,
-            use_shared: false,
-            unroll: 1,
-            thread_axis: None,
-        }
-    }
-}
-
 impl std::fmt::Display for Transformation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Sequential conditional writes: formatting a candidate never

@@ -19,6 +19,11 @@
 //!   occupancy — a tail effect analytic models typically smooth over,
 //! * fixed kernel-launch overhead and seeded run-to-run noise.
 //!
+//! The crate models timing, not allocation: [`DeviceParams::dram_bytes`]
+//! records the device-memory capacity, and the check that a workload fits
+//! in it lives with the measurement protocol
+//! (`grophecy::measurement::check_fits`).
+//!
 //! The deliberate asymmetry between this simulator and the analytic model
 //! in `gpp-gpu-model` (which ignores wave tails, approximates divergence,
 //! and smooths latency exposure) is what gives GROPHECY++ a realistic,
@@ -32,7 +37,6 @@ pub mod device;
 pub mod instance;
 pub mod occupancy;
 pub mod profile;
-pub mod runtime;
 pub mod sim;
 pub mod timing;
 
@@ -40,6 +44,5 @@ pub use device::DeviceParams;
 pub use instance::{KernelInstance, MemOp, ThreadProgram};
 pub use occupancy::Occupancy;
 pub use profile::profile;
-pub use runtime::{DeviceBuffer, DeviceContext, DeviceMemory, RuntimeError};
 pub use sim::{GpuSim, KernelTiming};
 pub use timing::TimingBreakdown;

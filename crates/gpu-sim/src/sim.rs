@@ -2,7 +2,6 @@
 
 use crate::device::DeviceParams;
 use crate::instance::KernelInstance;
-use crate::runtime::RuntimeError;
 use crate::timing::{time_kernel, TimingBreakdown};
 use gpp_fault::FaultInjector;
 use rand::rngs::StdRng;
@@ -91,21 +90,6 @@ impl GpuSim {
             ideal_exec: exec,
             breakdown,
         }
-    }
-
-    /// Fallible launch: like [`GpuSim::launch`], but an armed fault
-    /// injector may fail the attempt with
-    /// [`RuntimeError::TransientFault`]. The kernel still ran (the launch
-    /// counter and noise RNG advance), only its completion was lost —
-    /// exactly how a transient driver error presents.
-    pub fn try_launch(&mut self, kernel: &KernelInstance) -> Result<KernelTiming, RuntimeError> {
-        let timing = self.launch(kernel);
-        if self.faults.is_active() && self.faults.fires(gpp_fault::GPU_LAUNCH_TRANSIENT) {
-            return Err(RuntimeError::TransientFault {
-                launch: self.launches,
-            });
-        }
-        Ok(timing)
     }
 
     /// One measurement run: retries transient faults up to
@@ -204,28 +188,28 @@ mod tests {
         let mut plain = GpuSim::new(DeviceParams::quadro_fx_5600(), 9);
         let mut armed = GpuSim::new(DeviceParams::quadro_fx_5600(), 9);
         armed.arm_faults(FaultInjector::disabled());
-        for _ in 0..5 {
-            assert_eq!(
-                plain.launch(&k).time.to_bits(),
-                armed.try_launch(&k).unwrap().time.to_bits()
-            );
-        }
         assert_eq!(
             plain.mean_time(&k, 10).to_bits(),
             armed.mean_time(&k, 10).to_bits()
         );
+        assert_eq!(plain.launch_count(), armed.launch_count());
     }
 
     #[test]
-    fn transient_faults_fail_try_launch_per_plan() {
+    fn transient_faults_add_the_launches_the_plan_schedules() {
+        // `every=2` fires on consultations 2, 4, 6, ... Each run launches
+        // and consults; a firing costs one retry launch and one more
+        // consultation. Run 1 consults once (#1, passes); every later run
+        // starts on an even consultation, fires once, and its retry's odd
+        // one passes: 1 + 2·(runs − 1) launches in all.
         let plan: gpp_fault::FaultPlan = "gpu.launch.transient:every=2".parse().unwrap();
         let mut sim = GpuSim::new(DeviceParams::quadro_fx_5600(), 9);
         sim.arm_faults(std::sync::Arc::new(FaultInjector::new(plan)));
         let k = kernel(1 << 20);
-        assert!(sim.try_launch(&k).is_ok());
-        let err = sim.try_launch(&k).unwrap_err();
-        assert_eq!(err, RuntimeError::TransientFault { launch: 2 });
-        assert!(err.to_string().contains("transient device fault"));
+        sim.mean_time(&k, 1);
+        assert_eq!(sim.launch_count(), 1, "consultation 1 passes");
+        sim.mean_time(&k, 4);
+        assert_eq!(sim.launch_count(), 1 + 2 * 4, "each later run retries once");
     }
 
     #[test]

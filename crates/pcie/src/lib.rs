@@ -23,6 +23,10 @@
 //! * [`model::LinearModel`] — Equation 1.
 //! * [`calibrate::Calibrator`] — the two-point synthetic benchmark
 //!   (automatically run "on each new system", i.e. for each bus instance).
+//!   [`Calibrator::calibrate`] is the paper's method and the path every
+//!   fault-free run takes; [`Calibrator::calibrate_checked`] is its
+//!   median-of-k, probe-validated variant, used only while a fault plan
+//!   is active.
 //! * [`piecewise::PiecewiseModel`] — a log-size interpolation alternative
 //!   used by the ablation study to show two points are enough (DESIGN.md
 //!   D1).
@@ -57,7 +61,7 @@ pub mod sim;
 
 pub use alloc::AllocModel;
 pub use backend::BusBackend;
-pub use calibrate::{CalibratedBus, CalibrationError, Calibrator, ProbeBatch, StreamingFit};
+pub use calibrate::{CalibrationError, Calibrator};
 pub use error::{error_magnitude, mean_error_magnitude, SweepValidation};
 pub use faulty::FaultyBus;
 pub use model::LinearModel;

@@ -537,6 +537,14 @@ impl std::fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
+/// A calibration that failed on the node a command replays (`measure`,
+/// `calibrate`); such commands have no degraded fallback.
+impl From<gpp_pcie::CalibrationError> for ProtocolError {
+    fn from(e: gpp_pcie::CalibrationError) -> Self {
+        ProtocolError::new("calibration-failed", e.to_string())
+    }
+}
+
 impl ProtocolError {
     /// Recovers the structured error from a rendered
     /// `{"ok":false,"error":{"kind":...,"message":...}}` response, so a

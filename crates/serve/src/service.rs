@@ -16,7 +16,7 @@ use gpp_pcie::{Direction, MemType, SweepValidation};
 use gpp_skeleton::text;
 use gpp_skeleton::{Program, SourceMap};
 use grophecy::machine::MachineConfig;
-use grophecy::measurement::measure;
+use grophecy::measurement::{check_fits, measure};
 use grophecy::projector::{AppProjection, Grophecy};
 use grophecy::registry::MachineRegistry;
 use grophecy::report::{headroom_json, measurement_json, projection_json, speedup_json, Json};
@@ -388,23 +388,6 @@ impl ServiceState {
         ))
     }
 
-    /// The calibrated projector for commands that replay the single-shot
-    /// sequence on a fresh node (`measure`, `calibrate`): plain path when
-    /// no plan is active, fault-aware checked path otherwise. No degraded
-    /// fallback here — these commands exist to exercise the node itself.
-    fn calibrate_node(
-        &self,
-        machine: &MachineConfig,
-        node: &mut grophecy::machine::SimulatedNode,
-    ) -> Result<Grophecy, ProtocolError> {
-        let faults = &self.config.faults;
-        if !faults.is_active() {
-            return Ok(Grophecy::calibrate(machine, node));
-        }
-        Grophecy::try_calibrate(machine, node, faults.clone())
-            .map_err(|e| ProtocolError::new("calibration-failed", e.to_string()))
-    }
-
     /// Parses the skeleton (keeping the source map for spanned lint
     /// diagnostics), validates it, and resolves hint names. Hints start
     /// from the skeleton's own `temporary` declarations, so attributes in
@@ -605,7 +588,8 @@ impl ServiceState {
         // projection memo by design.
         let machine = self.machine(req)?;
         let mut node = machine.node();
-        let gro = self.calibrate_node(&machine, &mut node)?;
+        check_fits(&node, &program).map_err(|e| ProtocolError::new("device-memory", e))?;
+        let gro = Grophecy::try_calibrate(&machine, &mut node, self.config.faults.clone())?;
         let proj = gro.project(&program, &hints);
         self.check_deadline(start, remaining)?;
         let meas = measure(&mut node, &program, &proj);
@@ -682,7 +666,7 @@ impl ServiceState {
         // node's RNG stream right after calibration, like `gpp calibrate`.
         let machine = self.machine(req)?;
         let mut node = machine.node();
-        let gro = self.calibrate_node(&machine, &mut node)?;
+        let gro = Grophecy::try_calibrate(&machine, &mut node, self.config.faults.clone())?;
         let sweeps = Direction::ALL
             .into_iter()
             .map(|dir| {

@@ -2,6 +2,7 @@
 //! concurrent TCP clients, checked against the single-shot handler for
 //! bit-identical responses, plus backpressure and shutdown-drain checks.
 
+use gpp_serve::protocol::{split_batch_response, ProtocolError};
 use gpp_serve::{Client, Command, Request, ServeConfig, Server, ServiceState};
 use grophecy::machine::{BusSpec, ReplayTrace};
 use grophecy::{MachineConfig, MachineRegistry};
@@ -312,4 +313,59 @@ fn shutdown_drains_in_flight_requests() {
     handle.shutdown_and_join().unwrap();
     let response = worker.join().unwrap();
     assert_eq!(response, single_shot(&project_request(HOTSPOT, 4242)));
+}
+
+/// Two 4 GiB arrays: more than the simulated Quadro FX 5600's 1.5 GiB.
+const TOO_BIG: &str = "program too-big
+array a f32 [1073741824]
+array b f32 [1073741824]
+
+kernel copy
+  parallel i 1073741824
+  stmt
+    read  a [i]
+    write b [i]
+";
+
+const TOO_BIG_MESSAGE: &str =
+    "working set (8589934592 B) exceeds device memory (1610612736 B) on Quadro FX 5600 (simulated)";
+
+fn measure_request(skeleton: &str) -> Request {
+    let mut req = Request::new(Command::Measure);
+    req.skeleton = skeleton.to_string();
+    req
+}
+
+#[test]
+fn over_capacity_measure_is_a_structured_error() {
+    let server = Server::bind(ephemeral_config()).unwrap();
+    let handle = server.spawn().unwrap();
+    let mut client = Client::connect(handle.addr(), CLIENT_TIMEOUT).unwrap();
+
+    let reply = client.call(&measure_request(TOO_BIG)).unwrap();
+    let err = ProtocolError::from_response(&reply).expect("error reply");
+    assert_eq!(err.kind, "device-memory", "reply: {reply}");
+    assert_eq!(err.message, TOO_BIG_MESSAGE);
+    assert_eq!(reply, single_shot(&measure_request(TOO_BIG)));
+    assert_eq!(handle.state().snapshot(0).panics_caught, 0);
+    handle.shutdown_and_join().unwrap();
+}
+
+#[test]
+fn over_capacity_measure_in_a_batch_keeps_its_sibling_reply() {
+    let server = Server::bind(ephemeral_config()).unwrap();
+    let handle = server.spawn().unwrap();
+    let mut client = Client::connect(handle.addr(), CLIENT_TIMEOUT).unwrap();
+
+    let project = project_request(VECTOR_ADD, 11);
+    let batch = Request::new_batch([measure_request(TOO_BIG).encode(), project.encode()]);
+    let reply = client.call(&batch).unwrap();
+    let subs = split_batch_response(&reply).expect("a batch reply");
+    assert_eq!(subs.len(), 2, "reply: {reply}");
+    let err = ProtocolError::from_response(subs[0]).expect("error sub-reply");
+    assert_eq!(err.kind, "device-memory", "reply: {reply}");
+    assert_eq!(err.message, TOO_BIG_MESSAGE);
+    assert_eq!(subs[1], single_shot(&project));
+    assert_eq!(handle.state().snapshot(0).panics_caught, 0);
+    handle.shutdown_and_join().unwrap();
 }
